@@ -9,7 +9,7 @@ LINT_CLEAN := $(filter-out \
 	internal/lint/testdata/resolve.gcl, \
 	$(wildcard internal/lint/testdata/*.gcl))
 
-.PHONY: check build fmt vet dcvet dccodes test race serve-test watch-test lint prove flow fuzz bench bench-diff bench-spill bench-slice bench-incr profile clean
+.PHONY: check build fmt vet dcvet dccodes test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-spill bench-slice bench-incr profile clean
 
 # The full local gate: everything CI would run.
 check: build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz
@@ -89,6 +89,14 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-verify is the repo benchmark's correctness net: the harness tests
+# (about 12 s; they build dctl and dcserved) and `-verify`, which re-derives
+# every verdict in bench/golden.json through the graph-only path and fails
+# on any disagreement. bench/ is a module of its own, so the root
+# `go test ./...` never reaches it.
+bench-verify:
+	cd bench && $(GO) test ./... && $(GO) run . -verify
 
 # bench-diff runs the exploration-heavy benchmarks with allocation counting
 # and records the results: graph builds and kernel step microbenchmarks in

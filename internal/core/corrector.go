@@ -50,11 +50,11 @@ func (c Corrector) CheckCtx(ctx context.Context) error {
 	// decides the check in linear set operations, so the prover and slicer
 	// accelerators only run when the graph would have to be built.
 	if _, cached := explore.Peek(c.C, c.U, explore.Options{}); !cached {
-		if componentProver != nil && componentProver("corrector", c.C, c.Z, c.X, c.U) {
+		if prove := loadHook(&componentProver); prove != nil && prove("corrector", c.C, c.Z, c.X, c.U) {
 			return nil
 		}
-		if componentSlicer != nil {
-			if verdict, ok := componentSlicer(ctx, "corrector", c.C, c.Z, c.X, c.U); ok && verdict == nil {
+		if slice := loadHook(&componentSlicer); slice != nil {
+			if verdict, ok := slice(ctx, "corrector", c.C, c.Z, c.X, c.U); ok && verdict == nil {
 				return nil
 			}
 			// A sliced violation proves one exists; fall through so the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
@@ -56,10 +57,20 @@ func (d Detector) String() string {
 // internal/prove registers one via Certify.
 type ComponentProver func(kind string, p *guarded.Program, z, x, u state.Predicate) bool
 
-var componentProver ComponentProver
+// The hooks are stored atomically: prove and flow install them on their
+// first Certify, possibly while other goroutines are already checking.
+var componentProver atomic.Pointer[ComponentProver]
 
 // RegisterComponentProver installs the fast path. Passing nil removes it.
-func RegisterComponentProver(f ComponentProver) { componentProver = f }
+func RegisterComponentProver(f ComponentProver) { componentProver.Store(&f) }
+
+// loadHook returns the installed hook, or nil.
+func loadHook[F any](h *atomic.Pointer[F]) (f F) {
+	if p := h.Load(); p != nil {
+		f = *p
+	}
+	return f
+}
 
 // ComponentSlicer is an optional cone-of-influence pre-pass for the
 // detector and corrector checks: it runs the component check on a sliced
@@ -70,11 +81,11 @@ func RegisterComponentProver(f ComponentProver) { componentProver = f }
 // carry every variable. internal/flow registers one via Certify.
 type ComponentSlicer func(ctx context.Context, kind string, p *guarded.Program, z, x, u state.Predicate) (error, bool)
 
-var componentSlicer ComponentSlicer
+var componentSlicer atomic.Pointer[ComponentSlicer]
 
 // RegisterComponentSlicer installs the slicing pre-pass. Passing nil
 // removes it.
-func RegisterComponentSlicer(f ComponentSlicer) { componentSlicer = f }
+func RegisterComponentSlicer(f ComponentSlicer) { componentSlicer.Store(&f) }
 
 // Check decides whether D refines 'Z detects X' from U. Refinement from U
 // requires U closed in D; Safeness, Progress and Stability are then checked
@@ -96,11 +107,11 @@ func (d Detector) CheckCtx(ctx context.Context) error {
 	// Repaired graphs (explore.Repair) land in the cache under the new
 	// program, so incremental re-verification takes this fast path.
 	if _, cached := explore.Peek(d.D, d.U, explore.Options{}); !cached {
-		if componentProver != nil && componentProver("detector", d.D, d.Z, d.X, d.U) {
+		if prove := loadHook(&componentProver); prove != nil && prove("detector", d.D, d.Z, d.X, d.U) {
 			return nil
 		}
-		if componentSlicer != nil {
-			if verdict, ok := componentSlicer(ctx, "detector", d.D, d.Z, d.X, d.U); ok && verdict == nil {
+		if slice := loadHook(&componentSlicer); slice != nil {
+			if verdict, ok := slice(ctx, "detector", d.D, d.Z, d.X, d.U); ok && verdict == nil {
 				return nil
 			}
 			// A sliced violation proves one exists; fall through so the

@@ -164,6 +164,23 @@ func TestFairCycleRequiresEnabledActionToRun(t *testing.T) {
 	}
 }
 
+func TestFairCycleAllocsIndependentOfSCCCount(t *testing.T) {
+	// A chain of 4000 states is 4000 singleton SCCs, none of which admits a
+	// fair run. The decomposition is memoized after the first call, so the
+	// calls measured below allocate only FairCycle's own membership set.
+	p := counter(t, 4000, inc(4000))
+	g, err := Build(p, state.True, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp := g.FairCycle(nil); comp != nil {
+		t.Fatalf("a chain has no fair cycle, got %v", comp)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { g.FairCycle(nil) }); allocs > 2 {
+		t.Errorf("FairCycle allocated %.0f times over 4000 SCCs; want at most 2", allocs)
+	}
+}
+
 func TestUnfairActionsCannotSustainCycles(t *testing.T) {
 	// The only loop is through an unfair (fault) action: no fair cycle.
 	p := counter(t, 3, cycle(3))

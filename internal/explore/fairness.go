@@ -63,17 +63,21 @@ func (v *LivenessViolation) Error() string {
 // inside C. (If such an a had no internal transition, any run confined to C
 // would keep a continuously enabled yet never execute it; conversely a tour
 // of all states and internal fair edges of C is weakly fair.)
+//
+// One membership set serves every component: each is added, tested and
+// removed again, so the cost is linear in the components' sizes rather than
+// a fresh n-bit set per SCC.
 func (g *Graph) FairCycle(within *Bitset) []int {
-	comps := g.fairSCCs(within)
-	for _, comp := range comps {
-		member := NewBitset(g.n)
+	member := NewBitset(g.n)
+	for _, comp := range g.fairSCCs(within) {
 		for _, v := range comp {
 			member.Add(v)
 		}
-		if !g.hasInternalFairEdge(member, comp) {
-			continue
+		admits := g.hasInternalFairEdge(member, comp) && g.sccAdmitsFairRun(member, comp)
+		for _, v := range comp {
+			member.Remove(v)
 		}
-		if g.sccAdmitsFairRun(member, comp) {
+		if admits {
 			return comp
 		}
 	}

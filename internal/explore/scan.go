@@ -81,6 +81,14 @@ func Scan(p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner)
 // context is polled once per visited state, the same granularity as the
 // engines behind BuildCtx.
 func ScanCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner) (ScanStats, error) {
+	return scan(ctx, p, init, opts, v, nil)
+}
+
+// scan is ScanCtx with a parent hook: when onFresh is set, it runs with the
+// indices of every freshly discovered state and the state whose transition
+// discovered it, before the Edge visitor. A hook that only needs indices
+// spares the scan decoding each successor; its error aborts the scan.
+func scan(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner, onFresh func(to, from uint64) error) (ScanStats, error) {
 	var stats ScanStats
 	if err := p.Schema().Indexable(); err != nil {
 		return stats, err
@@ -143,6 +151,11 @@ func ScanCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opts
 				fresh, err = claim(tr.To)
 				if err != nil {
 					return false, err
+				}
+				if fresh && onFresh != nil {
+					if err := onFresh(tr.To, idx); err != nil {
+						return false, err
+					}
 				}
 			}
 			if v.Edge != nil {
@@ -305,21 +318,7 @@ func FindDeadlockCtx(ctx context.Context, p *guarded.Program, init state.Predica
 		defer run.finish()
 		log := newParentLog(run.dir, int(cfg.budget/4))
 		defer log.close()
-		var recErr error
-		_, err = ScanCtx(ctx, p, init, opts, Scanner{
-			Deadlock: deadlock,
-			Edge: func(from, to state.State, action int, fresh bool) bool {
-				if fresh {
-					if recErr = log.record(to.Index(), from.Index()); recErr != nil {
-						return false
-					}
-				}
-				return true
-			},
-		})
-		if recErr != nil {
-			return nil, false, recErr
-		}
+		_, err = scan(ctx, p, init, opts, Scanner{Deadlock: deadlock}, log.record)
 		if err != nil || !found {
 			return nil, false, err
 		}
@@ -335,14 +334,9 @@ func FindDeadlockCtx(ctx context.Context, p *guarded.Program, init state.Predica
 	}
 
 	parent := map[uint64]uint64{}
-	_, err := ScanCtx(ctx, p, init, opts, Scanner{
-		Deadlock: deadlock,
-		Edge: func(from, to state.State, action int, fresh bool) bool {
-			if fresh {
-				parent[to.Index()] = from.Index()
-			}
-			return true
-		},
+	_, err := scan(ctx, p, init, opts, Scanner{Deadlock: deadlock}, func(to, from uint64) error {
+		parent[to] = from
+		return nil
 	})
 	if err != nil || !found {
 		return nil, false, err

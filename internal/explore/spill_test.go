@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"detcorr/internal/guarded"
 	"detcorr/internal/state"
 )
 
@@ -348,23 +349,105 @@ func TestScanSpilledMatchesInRAM(t *testing.T) {
 }
 
 func TestFindDeadlockSpilledWitnessMatches(t *testing.T) {
-	p := counter(t, 3000, inc(3000))
-	init := state.Pred("x le 1", func(s state.State) bool { return s.Get(0) <= 1 })
-	ram, found, err := FindDeadlock(p, init, ScanOptions{MemBudget: -1})
-	if err != nil || !found {
-		t.Fatalf("in-RAM hunt: found=%v err=%v", found, err)
+	// The in-RAM hunt, the spilled hunt and the built graph's PathBetween
+	// must agree on the witness, state for state.
+	halting, haltingFair := composedHalting()
+	glitch, glitchFair := faultOnlyDeadlock()
+	cases := []struct {
+		name string
+		prog *guarded.Program
+		init state.Predicate
+		fair []bool
+	}{
+		{"counter", counter(t, 3000, inc(3000)),
+			state.Pred("x le 1", func(s state.State) bool { return s.Get(0) <= 1 }), nil},
+		{"halting/composed", halting,
+			state.Pred("x=0 & !stop", func(s state.State) bool { return s.Get(0) == 0 && !s.Bool(1) }), haltingFair},
+		{"fault-only", glitch,
+			state.Pred("a=0 & b=0 & !c", func(s state.State) bool { return s.Get(0) == 0 && s.Get(1) == 0 && !s.Bool(2) }), glitchFair},
 	}
-	spilled, found, err := FindDeadlock(p, init, ScanOptions{MemBudget: spillMinBudget, SpillDir: t.TempDir()})
-	if err != nil || !found {
-		t.Fatalf("spilled hunt: found=%v err=%v", found, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ram, found, err := FindDeadlock(tc.prog, tc.init, ScanOptions{Fair: tc.fair, MemBudget: -1})
+			if err != nil || !found {
+				t.Fatalf("in-RAM hunt: found=%v err=%v", found, err)
+			}
+			spilled, found, err := FindDeadlock(tc.prog, tc.init, ScanOptions{Fair: tc.fair, MemBudget: spillMinBudget, SpillDir: t.TempDir()})
+			if err != nil || !found {
+				t.Fatalf("spilled hunt: found=%v err=%v", found, err)
+			}
+			g, err := Build(tc.prog, tc.init, Options{Fair: tc.fair, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path, found := g.PathBetween(g.SetOf(tc.init), g.DeadlockSet(), nil)
+			if !found {
+				t.Fatal("the graph has no path to a deadlock")
+			}
+			for name, trace := range map[string][]state.State{"spilled hunt": spilled, "graph path": path} {
+				if len(trace) != len(ram) {
+					t.Fatalf("%s has %d states, in-RAM witness %d", name, len(trace), len(ram))
+				}
+				for i := range ram {
+					if !ram[i].Equal(trace[i]) {
+						t.Fatalf("%s[%d] = %s, in-RAM witness has %s", name, i, trace[i], ram[i])
+					}
+				}
+			}
+		})
 	}
-	if len(ram) != len(spilled) {
-		t.Fatalf("witness lengths differ: %d vs %d", len(ram), len(spilled))
-	}
-	for i := range ram {
-		if !ram[i].Equal(spilled[i]) {
-			t.Fatalf("witness[%d] differs: %s vs %s", i, ram[i], spilled[i])
-		}
+}
+
+// composedHalting is the halting program with its fault composed in, as
+// fault.Compose builds it: program actions first and fair, the fault last
+// and unfair.
+//
+//	action run  :: !stop & x < 5 -> x := x + 1
+//	action halt :: x == 4 -> stop := true
+//	fault kick  :: stop -> x := ?
+func composedHalting() (*guarded.Program, []bool) {
+	sch := state.MustSchema(state.IntVar("x", 6), state.BoolVar("stop"))
+	run := guarded.Det("run", state.Pred("!stop & x<5", func(s state.State) bool { return !s.Bool(1) && s.Get(0) < 5 }),
+		func(s state.State) state.State { return s.With(0, s.Get(0)+1) })
+	halt := guarded.Det("halt", state.Pred("x=4", func(s state.State) bool { return s.Get(0) == 4 }),
+		func(s state.State) state.State { return s.WithBool(1, true) })
+	kick := guarded.Choice("kick", state.Pred("stop", func(s state.State) bool { return s.Bool(1) }),
+		func(s state.State) []state.State {
+			out := make([]state.State, 6)
+			for x := range out {
+				out[x] = s.With(0, x)
+			}
+			return out
+		})
+	return guarded.MustProgram("halting", sch, run, halt, kick), []bool{true, true, false}
+}
+
+// faultOnlyDeadlock has three variables and deadlocks reachable only
+// through its unfair glitch: the fair actions alone cycle forever.
+//
+//	action stepA   :: !c -> a := (a + 1) % 60
+//	action stepB   :: !c & a == 0 -> b := (b + 1) % 60
+//	action recover :: c & b > 0 -> b := b - 1
+//	fault glitch   :: !c & a >= 50 -> c := true
+func faultOnlyDeadlock() (*guarded.Program, []bool) {
+	sch := state.MustSchema(state.IntVar("a", 60), state.IntVar("b", 60), state.BoolVar("c"))
+	stepA := guarded.Det("stepA", state.Pred("!c", func(s state.State) bool { return !s.Bool(2) }),
+		func(s state.State) state.State { return s.With(0, (s.Get(0)+1)%60) })
+	stepB := guarded.Det("stepB", state.Pred("!c & a=0", func(s state.State) bool { return !s.Bool(2) && s.Get(0) == 0 }),
+		func(s state.State) state.State { return s.With(1, (s.Get(1)+1)%60) })
+	undo := guarded.Det("recover", state.Pred("c & b>0", func(s state.State) bool { return s.Bool(2) && s.Get(1) > 0 }),
+		func(s state.State) state.State { return s.With(1, s.Get(1)-1) })
+	glitch := guarded.Det("glitch", state.Pred("!c & a>=50", func(s state.State) bool { return !s.Bool(2) && s.Get(0) >= 50 }),
+		func(s state.State) state.State { return s.WithBool(2, true) })
+	return guarded.MustProgram("glitchy", sch, stepA, stepB, undo, glitch), []bool{true, true, true, false}
+}
+
+func TestFaultOnlyDeadlockNeedsTheFault(t *testing.T) {
+	p, _ := faultOnlyDeadlock()
+	fairOnly := guarded.MustProgram("glitchy", p.Schema(), p.Actions()[:3]...)
+	init := state.Pred("a=0 & b=0 & !c", func(s state.State) bool { return s.Get(0) == 0 && s.Get(1) == 0 && !s.Bool(2) })
+	if trace, found, err := FindDeadlock(fairOnly, init, ScanOptions{}); err != nil || found {
+		t.Fatalf("without the fault: found=%v err=%v trace=%v", found, err, trace)
 	}
 }
 

@@ -98,9 +98,18 @@ type compiler struct {
 }
 
 // Compile type-checks a parsed file and produces the program, fault class
-// and predicates. Every enabled action is bounds-checked over the full state
-// space, so later exploration cannot fail on an out-of-domain write.
+// and predicates. Every action and fault is bounds-checked, so later
+// exploration cannot fail on an out-of-domain write. The check sweeps each
+// one over the domains of just the variables its guard and right-hand sides
+// read, so it costs the product of those domains per action, not the size
+// of the state space.
 func Compile(ast *FileAST) (*File, error) {
+	return compile(ast, (*compiler).validateBounds)
+}
+
+// compile is Compile with the bounds check passed in, so that tests can run
+// a reference sweep behind the same front end.
+func compile(ast *FileAST, checkBounds func(*compiler, *FileAST, []ActionDecl) error) (*File, error) {
 	c := &compiler{
 		varIdx: map[string]int{},
 		varOff: map[string]int{},
@@ -207,7 +216,7 @@ func Compile(ast *FileAST) (*File, error) {
 	}
 	f.Program = prog
 	f.Faults = fault.NewClass(ast.Name+".faults", faultActs...)
-	if err := c.validateBounds(ast, append(append([]ActionDecl(nil), ast.Actions...), ast.Faults...)); err != nil {
+	if err := checkBounds(c, ast, append(append([]ActionDecl(nil), ast.Actions...), ast.Faults...)); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -329,26 +338,50 @@ func (c *compiler) compileAction(d ActionDecl) (guarded.Action, error) {
 	return act, nil
 }
 
-// validateBounds enumerates the state space and checks that every enabled
-// action writes only in-domain values, so exploration never panics.
+// boundsItem is one action or fault as the bounds check sees it: its guard,
+// its deterministic assignments, and the variables those read, ascending.
+type boundsItem struct {
+	name    string
+	guard   func(state.State) int
+	assigns []boundsAssign
+	reads   []int
+}
+
+type boundsAssign struct {
+	a    Assign
+	eval func(state.State) int
+	lo   int
+	hi   int
+}
+
+// validateBounds checks that every enabled action and fault writes only
+// in-domain values, so exploration never panics.
+//
+// Whether an item overflows at a state depends only on the variables its
+// guard and deterministic right-hand sides read, so each item is swept over
+// just those variables' domains in index order, every other variable held
+// at 0. Zeroing the unread variables of a violating state gives a violating
+// state no later in index order, so an item's first hit is its earliest
+// violating state in the whole space. The earliest hit over all items, ties
+// going to the earlier declaration, is therefore the first violation a sweep
+// of the full space would meet, and the error names the same state.
+// Items whose assignments are all '?' cannot overflow and are skipped.
 func (c *compiler) validateBounds(ast *FileAST, decls []ActionDecl) error {
-	type checked struct {
-		decl    ActionDecl
-		guard   cexpr
-		assigns []struct {
-			a    Assign
-			eval func(state.State) int
-			lo   int
-			hi   int
-		}
+	n := c.schema.NumVars()
+	predReads := make(map[string][]int, len(ast.Preds))
+	for _, d := range ast.Preds {
+		read := make([]bool, n)
+		c.markReads(d.Expr, predReads, read)
+		predReads[d.Name] = readList(read)
 	}
-	var items []checked
+	var items []boundsItem
 	for _, d := range decls {
 		g, err := c.compileExpr(d.Guard)
 		if err != nil {
 			return err
 		}
-		item := checked{decl: d, guard: g}
+		item := boundsItem{name: d.Name, guard: g.eval}
+		read := make([]bool, n)
 		for _, a := range d.Assigns {
 			if a.Expr == nil {
 				continue
@@ -357,40 +390,97 @@ func (c *compiler) validateBounds(ast *FileAST, decls []ActionDecl) error {
 			if err != nil {
 				return err
 			}
+			c.markReads(a.Expr, predReads, read)
 			idx := c.varIdx[a.Var]
 			lo := c.varOff[a.Var]
 			hi := lo + c.schema.Var(idx).Domain.Size - 1
-			item.assigns = append(item.assigns, struct {
-				a    Assign
-				eval func(state.State) int
-				lo   int
-				hi   int
-			}{a: a, eval: ce.eval, lo: lo, hi: hi})
+			item.assigns = append(item.assigns, boundsAssign{a: a, eval: ce.eval, lo: lo, hi: hi})
 		}
+		if len(item.assigns) == 0 {
+			continue
+		}
+		c.markReads(d.Guard, predReads, read)
+		item.reads = readList(read)
 		items = append(items, item)
 	}
-	var verr error
-	err := c.schema.ForEachState(func(s state.State) bool {
-		for _, item := range items {
-			if item.guard.eval(s) == 0 {
-				continue
-			}
+	if err := c.schema.Indexable(); err != nil {
+		return fmt.Errorf("gcl: bounds check: %w", err)
+	}
+	vals := make([]int32, n)
+	var (
+		first uint64
+		verr  error
+	)
+	for _, item := range items {
+		if at, err := c.firstViolation(item, vals); err != nil && (verr == nil || at < first) {
+			first, verr = at, err
+		}
+	}
+	return verr
+}
+
+// firstViolation sweeps the item's read variables as a mixed-radix counter,
+// the last varying fastest, over vals with every other entry 0. It returns
+// the index of the first state where the guard holds and a right-hand side
+// leaves its domain, with the error naming the first such assignment, or a
+// nil error when there is none.
+func (c *compiler) firstViolation(item boundsItem, vals []int32) (uint64, error) {
+	clear(vals)
+	s := c.schema.ViewState(vals)
+	for {
+		if item.guard(s) != 0 {
 			for _, as := range item.assigns {
-				v := as.eval(s)
-				if v < as.lo || v > as.hi {
-					verr = errAt(as.a.At.Line, as.a.At.Col,
+				if v := as.eval(s); v < as.lo || v > as.hi {
+					return s.Index(), errAt(as.a.At.Line, as.a.At.Col,
 						"action %q assigns %d to %q, outside its domain %d..%d (at state %s)",
-						item.decl.Name, v, as.a.Var, as.lo, as.hi, s)
-					return false
+						item.name, v, as.a.Var, as.lo, as.hi, s)
 				}
 			}
 		}
-		return true
-	})
-	if err != nil {
-		return fmt.Errorf("gcl: bounds check: %w", err)
+		k := len(item.reads) - 1
+		for ; k >= 0; k-- {
+			i := item.reads[k]
+			if vals[i]++; int(vals[i]) < c.schema.Var(i).Domain.Size {
+				break
+			}
+			vals[i] = 0
+		}
+		if k < 0 {
+			return 0, nil
+		}
 	}
-	return verr
+}
+
+// markReads sets read[i] for every variable i that e reads, following
+// predicate references through predReads, the read sets of the predicates
+// declared before.
+func (c *compiler) markReads(e Expr, predReads map[string][]int, read []bool) {
+	switch n := e.(type) {
+	case *Ref:
+		if idx, ok := c.varIdx[n.Name]; ok {
+			read[idx] = true
+			return
+		}
+		for _, idx := range predReads[n.Name] {
+			read[idx] = true
+		}
+	case *Unary:
+		c.markReads(n.X, predReads, read)
+	case *Binary:
+		c.markReads(n.L, predReads, read)
+		c.markReads(n.R, predReads, read)
+	}
+}
+
+// readList returns the indices set in read, ascending.
+func readList(read []bool) []int {
+	var out []int
+	for i, r := range read {
+		if r {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func (c *compiler) compileExpr(e Expr) (cexpr, error) {

@@ -68,10 +68,11 @@ func FuzzParse(f *testing.F) {
 }
 
 // fuzzSpaceBudget caps the declared state space a fuzz input may compile:
-// Compile validates assignment bounds by enumerating every state, so an
-// input like `var x : 0..999999999` would turn one fuzz iteration into a
-// multi-minute scan. Inputs over budget are skipped, not failed — the size
-// is the fuzzer's choice, not a front-end bug.
+// Compile bounds-checks each action over the domains of the variables it
+// reads, so an input like `var x : 0..999999999` with an action reading x
+// would turn one fuzz iteration into a multi-minute sweep. Inputs over
+// budget are skipped, not failed — the size is the fuzzer's choice, not a
+// front-end bug.
 const fuzzSpaceBudget = 1 << 16
 
 func withinSpaceBudget(ast *gcl.FileAST) bool {

@@ -42,10 +42,12 @@ var deadGuard = &Analyzer{
 
 // domainOverflow (DC002) reports assignments whose right-hand side can
 // evaluate outside the target variable's declared domain in a state where
-// the guard holds. The compiler rejects such programs too, but only by
-// enumerating the full state space; the lint pass decides it from the
-// RHS interval, refined by enumeration over just the guard and RHS
-// variables, and reports a concrete witness assignment.
+// the guard holds. The compiler rejects such programs too, sweeping each
+// action over the domains of the variables its guard and right-hand sides
+// read and stopping at the first violation; the lint pass decides each
+// assignment from its RHS interval, refined by enumeration over just the
+// guard and RHS variables (within evalBudget), and reports every finding
+// with a concrete witness assignment.
 var domainOverflow = &Analyzer{
 	Name: "overflow",
 	Code: CodeOverflow,

@@ -3,6 +3,7 @@ package spec
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"detcorr/internal/explore"
 	"detcorr/internal/guarded"
@@ -30,10 +31,20 @@ func (v *ClosureViolation) Error() string {
 // verdict — it only skips work. internal/prove registers one via Certify.
 type ClosureProver func(p *guarded.Program, s state.Predicate) bool
 
-var closureProver ClosureProver
+// The hooks are stored atomically: prove and flow install them on their
+// first Certify, possibly while other goroutines are already checking.
+var closureProver atomic.Pointer[ClosureProver]
 
 // RegisterClosureProver installs the fast path. Passing nil removes it.
-func RegisterClosureProver(f ClosureProver) { closureProver = f }
+func RegisterClosureProver(f ClosureProver) { closureProver.Store(&f) }
+
+// loadHook returns the installed hook, or nil.
+func loadHook[F any](h *atomic.Pointer[F]) (f F) {
+	if p := h.Load(); p != nil {
+		f = *p
+	}
+	return f
+}
 
 // ClosedSlicer is an optional cone-of-influence pre-pass for CheckClosed:
 // it runs the check on a sliced program whose verdicts provably coincide
@@ -44,19 +55,19 @@ func RegisterClosureProver(f ClosureProver) { closureProver = f }
 // one via Certify.
 type ClosedSlicer func(ctx context.Context, p *guarded.Program, s state.Predicate) (error, bool)
 
-var closedSlicer ClosedSlicer
+var closedSlicer atomic.Pointer[ClosedSlicer]
 
 // RegisterClosedSlicer installs the slicing pre-pass. Passing nil removes it.
-func RegisterClosedSlicer(f ClosedSlicer) { closedSlicer = f }
+func RegisterClosedSlicer(f ClosedSlicer) { closedSlicer.Store(&f) }
 
 // ConvergesSlicer is the CheckConverges form of ClosedSlicer.
 type ConvergesSlicer func(ctx context.Context, p *guarded.Program, s, r state.Predicate) (error, bool)
 
-var convergesSlicer ConvergesSlicer
+var convergesSlicer atomic.Pointer[ConvergesSlicer]
 
 // RegisterConvergesSlicer installs the slicing pre-pass. Passing nil
 // removes it.
-func RegisterConvergesSlicer(f ConvergesSlicer) { convergesSlicer = f }
+func RegisterConvergesSlicer(f ConvergesSlicer) { convergesSlicer.Store(&f) }
 
 // CheckClosed verifies "S is closed in p" (Section 2.2.1): p refines cl(S)
 // from true, i.e. every transition of p from a state satisfying S lands in a
@@ -75,14 +86,14 @@ func CheckClosed(p *guarded.Program, s state.Predicate) error {
 // fallback kernel scan with ctx.Err(). The prover and cached-graph rungs of
 // the ladder are not interruptible — they are already cheap.
 func CheckClosedCtx(ctx context.Context, p *guarded.Program, s state.Predicate) error {
-	if closureProver != nil && closureProver(p, s) {
+	if prove := loadHook(&closureProver); prove != nil && prove(p, s) {
 		return nil
 	}
 	if g, ok := closureGraph(p, s); ok {
 		return CheckClosedOn(g, s)
 	}
-	if closedSlicer != nil {
-		if verdict, ok := closedSlicer(ctx, p, s); ok && verdict == nil {
+	if slice := loadHook(&closedSlicer); slice != nil {
+		if verdict, ok := slice(ctx, p, s); ok && verdict == nil {
 			return nil
 		}
 		// A sliced violation proves one exists; fall through so the
@@ -196,9 +207,9 @@ func CheckConvergesCtx(ctx context.Context, p *guarded.Program, s, r state.Predi
 	// The sliced pre-pass only pays when the liveness graph is not already
 	// cached; a nil sliced verdict is final, a violation is re-derived on
 	// the full program below so the witness carries every variable.
-	if convergesSlicer != nil {
+	if slice := loadHook(&convergesSlicer); slice != nil {
 		if _, cached := explore.Peek(p, s, explore.Options{}); !cached {
-			if verdict, ok := convergesSlicer(ctx, p, s, r); ok && verdict == nil {
+			if verdict, ok := slice(ctx, p, s, r); ok && verdict == nil {
 				return nil
 			}
 		}
