@@ -73,13 +73,14 @@ prove:
 
 # The slicing gate: dctl flow over the shipped examples (the dependence
 # analysis and every per-predicate cone must build without error), then the
-# slice difftest under the race detector — every declared predicate of every
-# example system checked full-width and through the cone-of-influence
-# pre-pass, asserting byte-identical verdicts and witnesses.
+# slice difftest and the ladder-order difftest under the race detector —
+# every declared predicate of every example system checked full-width and
+# through the decision ladder with each rung order forced, asserting
+# byte-identical verdicts and witnesses.
 flow:
 	$(GO) run ./cmd/dctl flow cmd/dctl/testdata/ring3.gcl > /dev/null
 	$(GO) run ./cmd/dctl flow cmd/dctl/testdata/memaccess.gcl -json > /dev/null
-	$(GO) test -race -run 'TestSliceDifftest|TestValidateWrites' ./internal/flow
+	$(GO) test -race -run 'TestSliceDifftest|TestValidateWrites|TestLadderOrdersAgree' ./internal/flow ./internal/verify
 
 # Short fuzz smoke over the GCL front end ('go test -fuzz' accepts only one
 # target per invocation, hence two runs).

@@ -25,8 +25,8 @@ import (
 )
 
 // incrRow is one benchmark line of BENCH_incr.json. IncrMS is the whole
-// incremental lane; CompileMS and ReverdictMS split it into compiling and
-// certifying the new revision versus the diff/repair/re-verdict pipeline —
+// incremental lane; CompileMS and ReverdictMS split it into compiling the
+// new revision versus the diff/repair/re-verdict pipeline —
 // a service with the revision already registered (dcserved /v1/revise)
 // pays only the latter.
 type incrRow struct {

@@ -13,8 +13,10 @@ import (
 )
 
 // runProve is the exploration-free entry point: it parses and lints the
-// file but never compiles it (compilation bounds-checks every action over
-// the full state space), so its cost is independent of the state count.
+// file but never compiles it (compilation rejects state spaces beyond the
+// 2^62-state index, and bounds-checks each action over the product of the
+// domains its guard and right-hand sides read), so its cost is independent
+// of the state count.
 func runProve(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("prove", flag.ContinueOnError)
 	invFlag := fs.String("invariant", "", "prove DC100 closure of this predicate under the program actions")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -14,10 +15,11 @@ import (
 	"detcorr/internal/fault"
 	"detcorr/internal/flow"
 	"detcorr/internal/gcl"
-	"detcorr/internal/prove"
 	"detcorr/internal/runtime"
+	"detcorr/internal/serve/api"
 	"detcorr/internal/spec"
 	"detcorr/internal/state"
+	"detcorr/internal/verify"
 )
 
 // setParallelism applies the -j flag: it sets the process-wide default
@@ -88,9 +90,9 @@ func run(args []string, out, errOut io.Writer) error {
 // first positional argument. The dclint analyzers run on every loaded
 // file before it is compiled: warnings go to errOut, error-severity
 // findings abort the command. Every subcommand that loads a file accepts
-// -noslice to disable the cone-of-influence pre-pass.
+// -noslice to disable the slice rung of the decision ladder.
 func loadFile(fs *flag.FlagSet, args []string, errOut io.Writer) (*gcl.File, error) {
-	noslice := fs.Bool("noslice", false, "disable the cone-of-influence slicing pre-pass")
+	noslice := fs.Bool("noslice", false, "disable the cone-of-influence slice rung")
 	if err := fs.Parse(argsAfterFile(args)); err != nil {
 		return nil, withCode(exitUsage, err)
 	}
@@ -114,18 +116,15 @@ func loadFile(fs *flag.FlagSet, args []string, errOut io.Writer) (*gcl.File, err
 		return nil, withCode(exitParse, err)
 	}
 	f.Src = string(src)
-	// Certification is best-effort: when the prover can re-derive the
-	// system from the AST, the closure and component checks consult it
-	// before exploring; otherwise they explore as before.
-	if err := prove.Certify(f); err != nil {
-		fmt.Fprintf(errOut, "dctl: prover certification skipped: %v\n", err)
-	}
-	// Same for slicing: a Writes-metadata mismatch only disables the
-	// cone-of-influence pre-pass for this file, never the command.
-	if err := flow.Certify(f); err != nil {
-		fmt.Fprintf(errOut, "dctl: slice certification skipped: %v\n", err)
-	}
 	return f, nil
+}
+
+// ladder prepares a loaded file for the decision ladder. A rung that
+// cannot be set up for the file (the prover cannot derive a system, the
+// compiled write sets disagree with the analysis) is reported on errOut
+// when it is first tried, and skipped; the command still decides.
+func ladder(f *gcl.File, errOut io.Writer) *verify.Program {
+	return verify.New(f, func(err error) { fmt.Fprintf(errOut, "dctl: %v\n", err) })
 }
 
 // argsAfterFile drops the leading positional file argument so flags can
@@ -299,36 +298,38 @@ func runComponent(cmd string, args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var check func() error
-	var tolerant func(fault.Kind) error
-	var header string
+	header := core.Corrector{Name: f.Name, C: f.Program, Z: z, X: x, U: u}.String()
 	if cmd == "detects" {
-		d := core.Detector{Name: f.Name, D: f.Program, Z: z, X: x, U: u}
-		header = d.String()
-		check = d.Check
-		tolerant = func(k fault.Kind) error { return d.CheckFTolerant(f.Faults, k) }
-	} else {
-		c := core.Corrector{Name: f.Name, C: f.Program, Z: z, X: x, U: u}
-		header = c.String()
-		check = c.Check
-		tolerant = func(k fault.Kind) error { return c.CheckFTolerant(f.Faults, k) }
+		header = core.Detector{Name: f.Name, D: f.Program, Z: z, X: x, U: u}.String()
 	}
-	if err := check(); err != nil {
-		fmt.Fprintf(out, "%s: FAILS\n  %v\n", header, err)
+	var kind fault.Kind
+	if *tolFlag != "" {
+		if kind, err = parseKind(*tolFlag); err != nil {
+			return err
+		}
+	}
+	// One decision covers both halves: the ladder decides the fault-free
+	// half once, and a failure of the tolerant half carries its prefix.
+	req := api.Request{Program: f.Src, Check: cmd, Z: *zFlag, X: *xFlag, From: *fromFlag, Tolerant: *tolFlag}
+	resp, _, err := verify.Decide(context.Background(), ladder(f, errOut), req)
+	if err != nil {
+		return err
+	}
+	tolPrefix := kind.String() + "-tolerant: "
+	tolFailed := *tolFlag != "" && strings.HasPrefix(resp.Detail, tolPrefix)
+	if resp.Verdict == api.VerdictFails && !tolFailed {
+		fmt.Fprintf(out, "%s: FAILS\n  %s\n", header, resp.Detail)
 		return errors.New("check failed")
 	}
 	fmt.Fprintf(out, "%s: HOLDS\n", header)
-	if *tolFlag != "" {
-		kind, err := parseKind(*tolFlag)
-		if err != nil {
-			return err
-		}
-		if err := tolerant(kind); err != nil {
-			fmt.Fprintf(out, "%s %s-tolerant: FAILS\n  %v\n", header, kind, err)
-			return errors.New("tolerant check failed")
-		}
-		fmt.Fprintf(out, "%s %s-tolerant: HOLDS\n", header, kind)
+	if *tolFlag == "" {
+		return nil
 	}
+	if resp.Verdict == api.VerdictFails {
+		fmt.Fprintf(out, "%s %s-tolerant: FAILS\n  %s\n", header, kind, strings.TrimPrefix(resp.Detail, tolPrefix))
+		return errors.New("tolerant check failed")
+	}
+	fmt.Fprintf(out, "%s %s-tolerant: HOLDS\n", header, kind)
 	return nil
 }
 

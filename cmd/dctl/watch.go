@@ -16,11 +16,12 @@ import (
 	"detcorr/internal/serve"
 	"detcorr/internal/serve/api"
 	"detcorr/internal/state"
+	"detcorr/internal/verify"
 	"detcorr/internal/watch"
 )
 
 // runWatch is the edit loop: poll one file, and on every revision re-lint,
-// re-certify, repair the cached graphs, and re-check only the verdicts the
+// recompile, repair the cached graphs, and re-check only the verdicts the
 // edit can have reached — everything else streams back as preserved. With
 // -check it watches one property (same flags as dctl verdict); without, it
 // watches the closure of every declared predicate.
@@ -85,10 +86,11 @@ func runWatch(args []string, out, errOut io.Writer) error {
 	return nil
 }
 
-// watcher carries the last good revision and its verdicts across polls.
+// watcher carries the last good revision, as its ladder value, and its
+// verdicts across polls.
 type watcher struct {
 	out   io.Writer
-	last  *gcl.File
+	last  *verify.Program
 	cache map[string]*api.Response
 }
 
@@ -125,20 +127,23 @@ func describe(req api.Request) string {
 
 // revision processes one file revision: load (keeping the last good
 // revision on failure), diff, migrate graphs, and re-check only what the
-// edit affected.
+// edit affected. Each revision gets its own ladder value; the previous
+// one's slice graphs are evicted once its graphs have migrated.
 func (w *watcher) revision(rev int, path, src string, requests func(*gcl.File) []api.Request) {
 	f, err := serve.LoadSource(src)
 	if err != nil {
 		fmt.Fprintf(w.out, "== rev %d %s: load failed, keeping last good revision\n   ! %v\n", rev, path, err)
 		return
 	}
+	v := verify.New(f, nil)
 	reqs := requests(f)
 
 	var plan *flow.Plan
 	var im *flow.Impact
 	if w.last != nil {
-		plan = flow.PlanRepair(w.last.AST, f.AST)
-		im = flow.AffectedBy(w.last.AST, f.AST)
+		last := w.last.File()
+		plan = flow.PlanRepair(last.AST, f.AST)
+		im = flow.AffectedBy(last.AST, f.AST)
 		var edits []string
 		if len(im.ChangedVars) > 0 {
 			edits = append(edits, "vars: "+strings.Join(im.ChangedVars, ","))
@@ -163,13 +168,14 @@ func (w *watcher) revision(rev int, path, src string, requests func(*gcl.File) [
 				return state.True, true
 			}
 			if plan.SamePreds[initName] {
-				if p, ok := w.last.Pred(initName); ok {
+				if p, ok := last.Pred(initName); ok {
 					return p, true
 				}
 			}
 			return state.Predicate{}, false
 		}
-		st := explore.MigrateProgram(w.last.Program, f.Program, plan.Graph, resolve)
+		st := explore.MigrateProgram(last.Program, f.Program, plan.Graph, resolve)
+		w.last.Evict()
 		if st.Rebound+st.Repaired+st.Dropped > 0 {
 			fmt.Fprintf(w.out, "   graphs: %d rebound, %d repaired, %d rebuilt\n",
 				st.Rebound, st.Repaired, st.Dropped)
@@ -192,7 +198,7 @@ func (w *watcher) revision(rev int, path, src string, requests func(*gcl.File) [
 			mark = "+"
 		}
 		start := time.Now()
-		resp, err := serve.Eval(context.Background(), f, req)
+		resp, _, err := verify.Decide(context.Background(), v, req)
 		if err != nil {
 			fmt.Fprintf(w.out, "   ! %s: %v\n", describe(req), err)
 			continue
@@ -204,7 +210,7 @@ func (w *watcher) revision(rev int, path, src string, requests func(*gcl.File) [
 		}
 		fmt.Fprintf(w.out, "   %s %s: %s (%s)\n", mark, describe(req), verdict, time.Since(start).Round(time.Microsecond))
 	}
-	w.last = f
+	w.last = v
 	w.cache = next
 }
 

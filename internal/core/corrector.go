@@ -46,21 +46,6 @@ func (c Corrector) Check() error {
 // CheckCtx is Check under a context: cancellation aborts the graph build
 // (and the closure scan on the error path) with ctx.Err().
 func (c Corrector) CheckCtx(ctx context.Context) error {
-	// Same ordering as Detector.CheckCtx: a cached (or repaired) graph
-	// decides the check in linear set operations, so the prover and slicer
-	// accelerators only run when the graph would have to be built.
-	if _, cached := explore.Peek(c.C, c.U, explore.Options{}); !cached {
-		if prove := loadHook(&componentProver); prove != nil && prove("corrector", c.C, c.Z, c.X, c.U) {
-			return nil
-		}
-		if slice := loadHook(&componentSlicer); slice != nil {
-			if verdict, ok := slice(ctx, "corrector", c.C, c.Z, c.X, c.U); ok && verdict == nil {
-				return nil
-			}
-			// A sliced violation proves one exists; fall through so the
-			// full-space check reports full-width witness states.
-		}
-	}
 	g, err := explore.SharedCtx(ctx, c.C, c.U, explore.Options{})
 	if err != nil {
 		// A cancelled build is the caller walking away, not a verdict.
@@ -141,6 +126,14 @@ func (c Corrector) CheckFTolerantCtx(ctx context.Context, f fault.Class, kind fa
 	if err := c.CheckCtx(ctx); err != nil {
 		return err
 	}
+	return c.CheckToleranceCtx(ctx, f, kind)
+}
+
+// CheckToleranceCtx is the fault half of CheckFTolerantCtx: the tolerance
+// conditions over the fault span, for a corrector whose fault-free check
+// already holds (it is not decided again). It builds the span's graph, not
+// the graph of C from U.
+func (c Corrector) CheckToleranceCtx(ctx context.Context, f fault.Class, kind fault.Kind) error {
 	span, err := fault.ComputeSpanCtx(ctx, c.C, f, c.U)
 	if err != nil {
 		return err

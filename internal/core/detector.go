@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
@@ -47,50 +46,11 @@ func (d Detector) String() string {
 	return fmt.Sprintf("detector %s: %s detects %s from %s", name, d.Z, d.X, d.U)
 }
 
-// ComponentProver is an optional exploration-free fast path for the
-// detector and corrector checks: it reports true only when it has proved
-// every condition of the component specification (kind is "detector" or
-// "corrector") for all U-states — a superset of the reachable states the
-// graph check inspects, so a proof soundly implies the graph verdict.
-// Anything short of a proof returns false and Check falls back to
-// exploration; registering a prover never changes a verdict.
-// internal/prove registers one via Certify.
-type ComponentProver func(kind string, p *guarded.Program, z, x, u state.Predicate) bool
-
-// The hooks are stored atomically: prove and flow install them on their
-// first Certify, possibly while other goroutines are already checking.
-var componentProver atomic.Pointer[ComponentProver]
-
-// RegisterComponentProver installs the fast path. Passing nil removes it.
-func RegisterComponentProver(f ComponentProver) { componentProver.Store(&f) }
-
-// loadHook returns the installed hook, or nil.
-func loadHook[F any](h *atomic.Pointer[F]) (f F) {
-	if p := h.Load(); p != nil {
-		f = *p
-	}
-	return f
-}
-
-// ComponentSlicer is an optional cone-of-influence pre-pass for the
-// detector and corrector checks: it runs the component check on a sliced
-// program whose verdicts provably coincide with the full program's,
-// returning (verdict, true) when it decided the check and (_, false) when
-// slicing does not apply. Callers accept a nil verdict directly but
-// re-derive violations full-width, so reported witness states always
-// carry every variable. internal/flow registers one via Certify.
-type ComponentSlicer func(ctx context.Context, kind string, p *guarded.Program, z, x, u state.Predicate) (error, bool)
-
-var componentSlicer atomic.Pointer[ComponentSlicer]
-
-// RegisterComponentSlicer installs the slicing pre-pass. Passing nil
-// removes it.
-func RegisterComponentSlicer(f ComponentSlicer) { componentSlicer.Store(&f) }
-
 // Check decides whether D refines 'Z detects X' from U. Refinement from U
 // requires U closed in D; Safeness, Progress and Stability are then checked
-// over the states reachable from U. A registered prover that discharges
-// the obligations for all U-states short-circuits the graph construction.
+// over the states reachable from U, on the graph of D from U (built once
+// through the shared cache). The prover and slicer rungs that may decide
+// the check without this graph live in internal/verify.
 func (d Detector) Check() error {
 	return d.CheckCtx(context.Background())
 }
@@ -100,24 +60,6 @@ func (d Detector) Check() error {
 // checks on the built graph are not interruptible — they are linear set
 // operations on an already-paid-for graph.
 func (d Detector) CheckCtx(ctx context.Context) error {
-	// With the graph already cached the conditions cost linear set
-	// operations, cheaper than re-running the prover's abstract
-	// enumeration or the slicer's re-exploration — so both accelerators
-	// only pay for themselves when the graph would have to be built.
-	// Repaired graphs (explore.Repair) land in the cache under the new
-	// program, so incremental re-verification takes this fast path.
-	if _, cached := explore.Peek(d.D, d.U, explore.Options{}); !cached {
-		if prove := loadHook(&componentProver); prove != nil && prove("detector", d.D, d.Z, d.X, d.U) {
-			return nil
-		}
-		if slice := loadHook(&componentSlicer); slice != nil {
-			if verdict, ok := slice(ctx, "detector", d.D, d.Z, d.X, d.U); ok && verdict == nil {
-				return nil
-			}
-			// A sliced violation proves one exists; fall through so the
-			// full-space check reports full-width witness states.
-		}
-	}
 	g, err := explore.SharedCtx(ctx, d.D, d.U, explore.Options{})
 	if err != nil {
 		// A cancelled build is the caller walking away, not a verdict; do
@@ -216,6 +158,14 @@ func (d Detector) CheckFTolerantCtx(ctx context.Context, f fault.Class, kind fau
 	if err := d.CheckCtx(ctx); err != nil {
 		return err
 	}
+	return d.CheckToleranceCtx(ctx, f, kind)
+}
+
+// CheckToleranceCtx is the fault half of CheckFTolerantCtx: the tolerance
+// conditions over the fault span, for a detector whose fault-free check
+// already holds (it is not decided again). It builds the span's graph, not
+// the graph of D from U.
+func (d Detector) CheckToleranceCtx(ctx context.Context, f fault.Class, kind fault.Kind) error {
 	span, err := fault.ComputeSpanCtx(ctx, d.D, f, d.U)
 	if err != nil {
 		return err

@@ -1,14 +1,17 @@
 package difftest
 
 import (
+	"context"
 	"testing"
 
 	"detcorr/internal/core"
 	"detcorr/internal/fault"
 	"detcorr/internal/gcl"
 	"detcorr/internal/prove"
+	"detcorr/internal/serve/api"
 	"detcorr/internal/spec"
 	"detcorr/internal/state"
+	"detcorr/internal/verify"
 )
 
 // compileAndProve compiles src twice over: the graph checks get the
@@ -192,30 +195,39 @@ func mustPred(t *testing.T, f *gcl.File, name string) state.Predicate {
 	return p
 }
 
-// TestCertifiedFastPathSoundness drives the registered hooks end to end:
-// after Certify, spec.CheckClosed must return the same verdicts it returns
-// by enumeration — immediately for proved obligations, by falling back for
-// everything else (including fault-composed programs, which miss the
-// registry by construction).
+// TestCertifiedFastPathSoundness drives the prover rung of the decision
+// ladder end to end: closure decided through verify.Decide must return the
+// verdict enumeration returns — from the prover for proved obligations —
+// and the fault-composed program, which no ladder value covers, must still
+// fail by enumeration.
 func TestCertifiedFastPathSoundness(t *testing.T) {
-	f, err := gcl.ParseAndCompile(RingSource(4, 4))
+	src := RingSource(4, 4)
+	f, err := gcl.ParseAndCompile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prove.Certify(f); err != nil {
+	v := verify.New(f, nil)
+	resp, rung, err := verify.Decide(context.Background(), v, api.Request{Program: src, Check: api.CheckClosure, Invariant: "Legit"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if resp.Verdict != api.VerdictHolds {
+		t.Fatalf("closure of Legit through the ladder: %s %s", resp.Verdict, resp.Detail)
+	}
+	if rung != verify.RungProve {
+		t.Errorf("closure of Legit decided by %q, want the prover", rung)
 	}
 	legit, _ := f.Pred("Legit")
 	if err := spec.CheckClosed(f.Program, legit); err != nil {
-		t.Fatalf("certified closure check: %v", err)
+		t.Fatalf("enumeration disagrees with the prover: %v", err)
 	}
 	composed, _, err := fault.Compose(f.Program, f.Faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The composed program is a different *guarded.Program: the hook must
-	// miss and enumeration must still find the corruption violation.
+	// The composed program is a different *guarded.Program: enumeration
+	// must still find the corruption violation.
 	if err := spec.CheckClosed(composed, legit); err == nil {
-		t.Fatal("fault-composed closure must still fail after certification")
+		t.Fatal("fault-composed closure must still fail")
 	}
 }

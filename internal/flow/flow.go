@@ -12,7 +12,7 @@
 // predicate P can only depend on the variables P reads and, transitively,
 // on whatever feeds the actions that write them, so everything outside the
 // cone can be sliced away before the exploration kernel ever runs (see
-// Slice and Certify).
+// Slice, and the slice rung of internal/verify).
 package flow
 
 import (

@@ -3,9 +3,20 @@ package flow
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"detcorr/internal/gcl"
 )
+
+var disabled atomic.Bool
+
+// SetEnabled turns the slicing rung of the decision ladder on or off
+// process-wide (it is on by default). Disabling discards no analysis; the
+// ladder only stops consulting it, so every check runs full-width.
+func SetEnabled(on bool) { disabled.Store(!on) }
+
+// Enabled reports whether the slicing rung is active.
+func Enabled() bool { return !disabled.Load() }
 
 // Slice is a compiled cone-of-influence slice of a file: the program
 // restricted to the variables that can influence the target predicates and
@@ -16,7 +27,7 @@ import (
 // closure, safeness, stability, and fair-liveness verdicts about
 // cone-determined predicates coincide exactly.
 type Slice struct {
-	File        *gcl.File // compiled sliced program (no faults, no slicer registration)
+	File        *gcl.File // compiled sliced program (no faults)
 	Targets     []string  // sorted target predicate names
 	ConeVars    []string
 	KeptActions []string
@@ -45,10 +56,11 @@ func SliceFile(f *gcl.File, targets ...string) (*Slice, error) {
 	if f == nil || f.AST == nil {
 		return nil, fmt.Errorf("flow: no AST to slice")
 	}
-	return sliceInfo(Analyze(f.AST), f, targets...)
+	return Analyze(f.AST).Slice(targets...)
 }
 
-func sliceInfo(in *Info, f *gcl.File, targets ...string) (*Slice, error) {
+// Slice is SliceFile over an analysis already computed for the file.
+func (in *Info) Slice(targets ...string) (*Slice, error) {
 	cone, err := in.Cone(targets...)
 	if err != nil {
 		return nil, err

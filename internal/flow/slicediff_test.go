@@ -1,6 +1,7 @@
 package flow_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -8,18 +9,21 @@ import (
 	"detcorr/internal/explore/difftest"
 	"detcorr/internal/flow"
 	"detcorr/internal/gcl"
+	"detcorr/internal/serve/api"
 	"detcorr/internal/spec"
 	"detcorr/internal/state"
+	"detcorr/internal/verify"
 )
 
 // The slice difftest: for every example system and every declared
-// predicate, the verdicts of the public check entry points on a
-// flow-certified file (where the slicing pre-pass may serve a sliced
-// kernel) must be byte-identical — verdict AND witness — to the verdicts
-// on a fresh, uncertified compile of the same source, which the hooks
-// cannot see. The sweep deliberately includes failing verdicts: those
-// exercise the fall-through path where a sliced violation is discarded
-// and the full-space check re-derives the witness.
+// predicate, the verdicts the decision ladder reaches on a file whose
+// slice rung is armed must be byte-identical — verdict AND witness — to
+// the verdicts of the plain graph checks on a fresh compile of the same
+// source, which no ladder value covers. The sweep deliberately includes
+// failing verdicts: those exercise the fall-through path where a sliced
+// violation is discarded and the full-space check re-derives the witness.
+// (internal/verify's TestLadderOrdersAgree forces every rung order; this
+// test pins the order the tools run.)
 
 var sliceDiffSources = []struct {
 	name string
@@ -56,50 +60,57 @@ func TestSliceDifftest(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			// Reference: a fresh compile the registry has never seen. Its
-			// program pointer misses both the prover and slicer lookups, so
-			// every check runs full-width.
+			// Reference: a fresh compile checked by the graph checks alone,
+			// so every check runs full-width.
 			ref, err := gcl.ParseAndCompile(tc.src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			// Subject: an independently compiled copy, flow-certified so
-			// the slicing pre-pass is armed for it.
+			// Subject: an independently compiled copy, decided on the
+			// ladder with the slice rung armed.
 			sub, err := gcl.ParseAndCompile(tc.src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if err := flow.Certify(sub); err != nil {
-				t.Fatalf("certify: %v", err)
+			v := verify.New(sub, nil)
+			decide := func(req api.Request) string {
+				req.Program = tc.src
+				resp, _, err := verify.Decide(context.Background(), v, req)
+				if err != nil {
+					return "error: " + err.Error()
+				}
+				if resp.Verdict == api.VerdictHolds {
+					return errString(nil)
+				}
+				return resp.Detail
 			}
 			for _, pname := range predNames(ref) {
 				rp, _ := ref.Pred(pname)
-				sp, _ := sub.Pred(pname)
 				diffOne(t, "closed("+pname+")",
 					spec.CheckClosed(ref.Program, rp),
-					spec.CheckClosed(sub.Program, sp))
+					decide(api.Request{Check: api.CheckClosure, Invariant: pname}))
 				diffOne(t, "converges("+pname+")",
 					spec.CheckConverges(ref.Program, state.True, rp),
-					spec.CheckConverges(sub.Program, state.True, sp))
+					decide(api.Request{Check: api.CheckConvergence, Invariant: "true", Goal: pname}))
 				// Component checks with Z = X = U = the predicate: Safeness
 				// is trivially satisfiable, Stability and Progress are not,
 				// so the sweep hits both verdict polarities.
 				diffOne(t, "detects("+pname+")",
-					core.Detector{Name: "d", D: ref.Program, Z: rp, X: rp, U: rp}.Check(),
-					core.Detector{Name: "d", D: sub.Program, Z: sp, X: sp, U: sp}.Check())
+					core.Detector{Name: ref.Name, D: ref.Program, Z: rp, X: rp, U: rp}.Check(),
+					decide(api.Request{Check: api.CheckDetects, Z: pname, X: pname, From: pname}))
 				diffOne(t, "corrects("+pname+")",
-					core.Corrector{Name: "c", C: ref.Program, Z: rp, X: rp, U: rp}.Check(),
-					core.Corrector{Name: "c", C: sub.Program, Z: sp, X: sp, U: sp}.Check())
+					core.Corrector{Name: ref.Name, C: ref.Program, Z: rp, X: rp, U: rp}.Check(),
+					decide(api.Request{Check: api.CheckCorrects, Z: pname, X: pname, From: pname}))
 			}
 		})
 	}
 }
 
-func diffOne(t *testing.T, what string, refErr, subErr error) {
+func diffOne(t *testing.T, what string, refErr error, sub string) {
 	t.Helper()
-	if errString(refErr) != errString(subErr) {
-		t.Errorf("%s: verdicts diverge\n  full:   %s\n  sliced: %s",
-			what, errString(refErr), errString(subErr))
+	if errString(refErr) != sub {
+		t.Errorf("%s: verdicts diverge\n  full:   %s\n  ladder: %s",
+			what, errString(refErr), sub)
 	}
 }
 

@@ -15,11 +15,24 @@ import (
 // over the finite domains — and reports the aggregate verdict.
 
 // proveAction discharges one Hoare obligation {hyps ∧ guard} a {post}.
-func (sys *System) proveAction(a *gcl.ActionDecl, hyps []gcl.Expr, post gcl.Expr) ActionResult {
+func (sys *System) proveAction(ctx context.Context, a *gcl.ActionDecl, hyps []gcl.Expr, post gcl.Expr) (ActionResult, error) {
 	extra := map[string]*VarDom{}
 	sigma := sys.wp(a, extra)
 	all := append(append([]gcl.Expr{}, hyps...), a.Guard)
-	return sys.actionResult(a.Name, sys.valid(all, subst(post, sigma), extra))
+	out, err := sys.valid(ctx, all, subst(post, sigma), extra)
+	if err != nil {
+		return ActionResult{}, err
+	}
+	return sys.actionResult(a.Name, out), nil
+}
+
+// validResult runs one validity query and reports it as a named result.
+func (sys *System) validResult(ctx context.Context, name string, hyps []gcl.Expr, concl gcl.Expr) (ActionResult, error) {
+	out, err := sys.valid(ctx, hyps, concl, nil)
+	if err != nil {
+		return ActionResult{}, err
+	}
+	return sys.actionResult(name, out), nil
 }
 
 func (sys *System) actionResult(name string, out Outcome) ActionResult {
@@ -62,15 +75,15 @@ func (sys *System) needPred(name string) (gcl.Expr, error) {
 }
 
 // proveClosureExpr discharges {inv ∧ g} a {inv} for every action in acts.
-// Cancellation is polled between obligations — each obligation is already
-// budget-bounded by the refuter, so the latency is one obligation's worth.
+// Cancellation is polled inside every obligation (see valid).
 func (sys *System) proveClosureExpr(ctx context.Context, code, subject string, inv gcl.Expr, acts []gcl.ActionDecl) (*Report, error) {
 	rep := &Report{Code: code, Subject: subject}
 	for i := range acts {
-		if err := ctx.Err(); err != nil {
+		res, err := sys.proveAction(ctx, &acts[i], []gcl.Expr{inv}, inv)
+		if err != nil {
 			return nil, err
 		}
-		rep.Actions = append(rep.Actions, sys.proveAction(&acts[i], []gcl.Expr{inv}, inv))
+		rep.Actions = append(rep.Actions, res)
 	}
 	rep.Verdict = aggregate(rep.Actions)
 	return rep, nil
@@ -84,8 +97,8 @@ func ProveClosure(sys *System, inv string) (*Report, error) {
 	return ProveClosureCtx(context.Background(), sys, inv)
 }
 
-// ProveClosureCtx is ProveClosure under a context; cancellation between
-// per-action obligations returns ctx.Err().
+// ProveClosureCtx is ProveClosure under a context; cancellation returns
+// ctx.Err().
 func ProveClosureCtx(ctx context.Context, sys *System, inv string) (*Report, error) {
 	S, err := sys.needPred(inv)
 	if err != nil {
@@ -104,7 +117,7 @@ func ProveSpanClosure(sys *System, inv, span string) (*Report, error) {
 }
 
 // ProveSpanClosureCtx is ProveSpanClosure under a context; cancellation
-// between per-action obligations returns ctx.Err().
+// returns ctx.Err().
 func ProveSpanClosureCtx(ctx context.Context, sys *System, inv, span string) (*Report, error) {
 	S, err := sys.needPred(inv)
 	if err != nil {
@@ -132,8 +145,11 @@ func ProveSpanClosureCtx(ctx context.Context, sys *System, inv, span string) (*R
 		}
 		rep.Span = sys.boxStrings(box)
 	}
-	rep.Actions = append(rep.Actions,
-		sys.actionResult(fmt.Sprintf("(span contains %s)", inv), sys.valid([]gcl.Expr{S}, T, nil)))
+	contains, err := sys.validResult(ctx, fmt.Sprintf("(span contains %s)", inv), []gcl.Expr{S}, T)
+	if err != nil {
+		return nil, err
+	}
+	rep.Actions = append(rep.Actions, contains)
 	rep.Verdict = aggregate(rep.Actions)
 	return rep, nil
 }
@@ -147,8 +163,8 @@ func ProveSafeness(sys *System, u, z, x string) (*Report, error) {
 	return ProveSafenessCtx(context.Background(), sys, u, z, x)
 }
 
-// ProveSafenessCtx is ProveSafeness under a context; cancellation between
-// per-action obligations returns ctx.Err().
+// ProveSafenessCtx is ProveSafeness under a context; cancellation returns
+// ctx.Err().
 func ProveSafenessCtx(ctx context.Context, sys *System, u, z, x string) (*Report, error) {
 	U, err := sys.needPred(u)
 	if err != nil {
@@ -164,14 +180,17 @@ func ProveSafenessCtx(ctx context.Context, sys *System, u, z, x string) (*Report
 	}
 	rep := &Report{Code: CodeSafeness,
 		Subject: fmt.Sprintf("detector safeness and stability of %s => %s within %s", z, x, u)}
-	rep.Actions = append(rep.Actions,
-		sys.actionResult(fmt.Sprintf("(safeness: %s & %s => %s)", u, z, x), sys.valid([]gcl.Expr{U, Z}, X, nil)))
+	safe, err := sys.validResult(ctx, fmt.Sprintf("(safeness: %s & %s => %s)", u, z, x), []gcl.Expr{U, Z}, X)
+	if err != nil {
+		return nil, err
+	}
+	rep.Actions = append(rep.Actions, safe)
 	post := disj(Z, neg(X))
 	for i := range sys.actions {
-		if err := ctx.Err(); err != nil {
+		res, err := sys.proveAction(ctx, &sys.actions[i], []gcl.Expr{U, Z}, post)
+		if err != nil {
 			return nil, err
 		}
-		res := sys.proveAction(&sys.actions[i], []gcl.Expr{U, Z}, post)
 		res.Action += " (stability)"
 		rep.Actions = append(rep.Actions, res)
 	}
@@ -188,8 +207,8 @@ func ProveConvergence(sys *System, u, goal string, rank []gcl.Expr) (*Report, er
 }
 
 // ProveConvergenceCtx is ProveConvergence under a context; cancellation
-// between per-action obligations (and between rank-synthesis candidates)
-// returns ctx.Err().
+// returns ctx.Err(), also from inside one obligation's refutation or one
+// rank-synthesis candidate.
 func ProveConvergenceCtx(ctx context.Context, sys *System, u, goal string, rank []gcl.Expr) (*Report, error) {
 	U, err := sys.needPred(u)
 	if err != nil {
@@ -225,10 +244,10 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 	rep := &Report{Code: CodeConvergence, Subject: subject}
 	if withClosure {
 		for i := range sys.actions {
-			if err := ctx.Err(); err != nil {
+			res, err := sys.proveAction(ctx, &sys.actions[i], []gcl.Expr{U}, U)
+			if err != nil {
 				return nil, err
 			}
-			res := sys.proveAction(&sys.actions[i], []gcl.Expr{U}, U)
 			res.Action += " (closure)"
 			rep.Actions = append(rep.Actions, res)
 		}
@@ -237,8 +256,11 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 	for i := range sys.actions {
 		guards = append(guards, sys.actions[i].Guard)
 	}
-	rep.Actions = append(rep.Actions, sys.actionResult("(no deadlock outside the goal)",
-		sys.valid([]gcl.Expr{U, neg(G)}, disj(guards...), nil)))
+	live, err := sys.validResult(ctx, "(no deadlock outside the goal)", []gcl.Expr{U, neg(G)}, disj(guards...))
+	if err != nil {
+		return nil, err
+	}
+	rep.Actions = append(rep.Actions, live)
 	if aggregate(rep.Actions) == Disproved {
 		rep.Verdict = Disproved
 		return rep, nil
@@ -258,15 +280,15 @@ func (sys *System) proveConvergenceExpr(ctx context.Context, subject string, U, 
 		rep.Actions = append(rep.Actions, results...)
 	} else {
 		for i := range sys.actions {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			a := &sys.actions[i]
 			extra := map[string]*VarDom{}
 			sigma := sys.wp(a, extra)
 			post := disj(subst(G, sigma), lexDec(rank, sigma))
-			res := sys.actionResult(a.Name+" (descent)",
-				sys.valid([]gcl.Expr{U, neg(G), a.Guard}, post, extra))
+			out, err := sys.valid(ctx, []gcl.Expr{U, neg(G), a.Guard}, post, extra)
+			if err != nil {
+				return nil, err
+			}
+			res := sys.actionResult(a.Name+" (descent)", out)
 			if res.Verdict == Disproved {
 				res.Verdict = Unknown
 				res.Note = strings.TrimSpace(strings.TrimSuffix(
@@ -342,9 +364,6 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 			if used[ci] {
 				continue
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, false, err
-			}
 			c := cands[ci]
 			ok := true
 			var dec []int
@@ -353,14 +372,20 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 				extra := map[string]*VarDom{}
 				sigma := sys.wp(a, extra)
 				after := subst(c.e, sigma)
-				nonInc := sys.valid([]gcl.Expr{U, neg(G), a.Guard},
+				nonInc, err := sys.valid(ctx, []gcl.Expr{U, neg(G), a.Guard},
 					disj(subst(G, sigma), &gcl.Binary{Op: gcl.LE, L: after, R: c.e}), extra)
+				if err != nil {
+					return nil, nil, nil, false, err
+				}
 				if nonInc.Verdict != Proved {
 					ok = false
 					break
 				}
-				strict := sys.valid([]gcl.Expr{U, neg(G), a.Guard},
+				strict, err := sys.valid(ctx, []gcl.Expr{U, neg(G), a.Guard},
 					disj(subst(G, sigma), &gcl.Binary{Op: gcl.LT, L: after, R: c.e}), extra)
+				if err != nil {
+					return nil, nil, nil, false, err
+				}
 				if strict.Verdict == Proved {
 					dec = append(dec, ai)
 				}
@@ -410,7 +435,7 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 // span candidate in the sense of the paper — the closure proof then
 // re-checks it independently.
 func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
-	r := &refuter{sys: sys, vars: sys.vars}
+	r := &refuter{ctx: context.Background(), sys: sys, vars: sys.vars}
 	store := absdom.NewStore()
 	for _, n := range sys.order {
 		v := sys.vars[n]

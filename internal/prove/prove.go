@@ -24,7 +24,7 @@
 // concrete witness state. Unknown means the abstraction was inconclusive
 // and the exact fallback exceeded its budget — callers fall back to
 // graph-based checking, so the engine never changes a verdict, it only
-// skips work (see Certify and the fast-path hooks in spec and core).
+// skips work (see the decision ladder in internal/verify).
 package prove
 
 import (

@@ -1,6 +1,7 @@
 package prove
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -18,6 +19,10 @@ const (
 	splitBudget = 1 << 12
 )
 
+// pollEvery is how many enumerated assignments pass between two polls of
+// the query's context; case splits poll on every split.
+const pollEvery = 1 << 10
+
 // Outcome is the result of one validity query.
 type Outcome struct {
 	Verdict Verdict
@@ -27,9 +32,11 @@ type Outcome struct {
 
 // valid decides whether hyp1 ∧ hyp2 ∧ ... ⇒ concl holds over the declared
 // domains (plus extra, the fresh variables introduced for '?' targets), by
-// refuting the conjunction of the hypotheses with ¬concl.
-func (sys *System) valid(hyps []gcl.Expr, concl gcl.Expr, extra map[string]*VarDom) Outcome {
-	r := &refuter{sys: sys, vars: map[string]*VarDom{}, splits: splitBudget}
+// refuting the conjunction of the hypotheses with ¬concl. The context is
+// polled at every case split and every pollEvery enumerated assignments;
+// a cancelled query returns ctx.Err() and no outcome.
+func (sys *System) valid(ctx context.Context, hyps []gcl.Expr, concl gcl.Expr, extra map[string]*VarDom) (Outcome, error) {
+	r := &refuter{ctx: ctx, sys: sys, vars: map[string]*VarDom{}, splits: splitBudget}
 	for n, v := range sys.vars {
 		r.vars[n] = v
 	}
@@ -45,13 +52,19 @@ func (sys *System) valid(hyps []gcl.Expr, concl gcl.Expr, extra map[string]*VarD
 		conjs = append(conjs, nnf(h, false))
 	}
 	conjs = append(conjs, nnf(concl, true))
-	switch st := r.refute(conjs, store); st {
+	st := r.refute(conjs, store)
+	// A cancelled search may have cut an enumeration short, so its status
+	// means nothing: check the latch before the status.
+	if r.err != nil {
+		return Outcome{}, r.err
+	}
+	switch st {
 	case refuted:
-		return Outcome{Verdict: Proved}
+		return Outcome{Verdict: Proved}, nil
 	case satisfiable:
-		return Outcome{Verdict: Disproved, Cex: r.cex}
+		return Outcome{Verdict: Disproved, Cex: r.cex}, nil
 	default:
-		return Outcome{Verdict: Unknown, Notes: r.notes}
+		return Outcome{Verdict: Unknown, Notes: r.notes}, nil
 	}
 }
 
@@ -64,11 +77,36 @@ const (
 )
 
 type refuter struct {
+	ctx    context.Context
+	err    error // the context's error, latched once the query is cancelled
+	ticks  int   // assignments enumerated since the last poll
 	sys    *System
 	vars   map[string]*VarDom
 	splits int // remaining case-split budget, shared across the whole query
 	notes  []string
 	cex    map[string]int
+}
+
+// stopped polls the context and latches its error. Once it reports true
+// every search step unwinds without further work.
+func (r *refuter) stopped() bool {
+	if r.err == nil {
+		r.err = r.ctx.Err()
+	}
+	return r.err != nil
+}
+
+// tick counts one enumerated assignment and polls the context every
+// pollEvery of them.
+func (r *refuter) tick() bool {
+	if r.err != nil {
+		return true
+	}
+	if r.ticks++; r.ticks < pollEvery {
+		return false
+	}
+	r.ticks = 0
+	return r.stopped()
 }
 
 // refute decides whether the conjunction of NNF formulas is unsatisfiable
@@ -79,7 +117,11 @@ type refuter struct {
 // exactly one survives, and case-splitting otherwise. A branch with no
 // clauses left is decided exactly by bounded enumeration over the
 // narrowed value sets, which also produces the concrete counterexample.
+// A cancelled query reports inconclusive at the next case split.
 func (r *refuter) refute(conjs []gcl.Expr, store *absdom.Store) status {
+	if r.stopped() {
+		return inconclusive
+	}
 	var lits, ors []gcl.Expr
 	flatten(conjs, &lits, &ors)
 	for _, l := range lits {
@@ -146,6 +188,9 @@ func (r *refuter) refute(conjs []gcl.Expr, store *absdom.Store) status {
 		case satisfiable:
 			return satisfiable
 		case inconclusive:
+			if r.err != nil {
+				return inconclusive
+			}
 			sawUnknown = true
 		}
 	}
@@ -355,6 +400,9 @@ func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
 	any := false
 	rec = func(i int) {
 		if i == len(reps) {
+			if r.tick() {
+				return
+			}
 			for _, v := range vars {
 				env[v] = vals[indexOf(reps, repOf[v])]
 			}
@@ -381,6 +429,9 @@ func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
 		})
 	}
 	rec(0)
+	if r.err != nil {
+		return false // the enumeration was cut short: learn nothing from it
+	}
 	if !any {
 		store.MarkContradictory()
 		return true
@@ -407,8 +458,12 @@ func indexOf(xs []string, x string) int {
 // to the formulas' variables over their narrowed value sets, checking the
 // full formula list concretely. This is complete for the branch (the store
 // narrowings are sound, so no satisfying assignment lies outside them).
-// Exceeding evalBudget yields inconclusive with a trace note.
+// Exceeding evalBudget yields inconclusive with a trace note, and so does
+// a cancellation, polled every pollEvery assignments.
 func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
+	if r.stopped() {
+		return inconclusive
+	}
 	varSet := map[string]bool{}
 	for _, e := range conjs {
 		freeVars(e, varSet)
@@ -453,6 +508,9 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(reps) {
+			if r.tick() {
+				return true // stop the enumeration; valid discards the status
+			}
 			for _, v := range vars {
 				env[v] = vals[indexOf(reps, repOf[v])]
 			}
@@ -479,7 +537,11 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 		})
 		return found
 	}
-	if rec(0) {
+	found := rec(0)
+	if r.err != nil {
+		return inconclusive
+	}
+	if found {
 		// Complete the witness with every declared variable so the report
 		// shows a full state (unconstrained variables take their minimum).
 		r.cex = map[string]int{}

@@ -1,318 +1,40 @@
-// Package serve wraps the full checker pipeline — closure, detector and
-// corrector conditions, convergence, deadlock hunts, and the exploration-
-// free provers — behind the verdict protocol of internal/serve/api, and
-// hosts it as a long-running HTTP daemon (Server). The evaluation entry
-// point Eval is deliberately a plain function over a compiled file: the
-// dcserved handler and the dctl verdict subcommand both call it, so a
-// verdict served over HTTP is computed by exactly the code that computes it
-// at the command line, and the byte-parity tests can compare the two
-// transports verbatim.
+// Package serve hosts the decision ladder of internal/verify — closure,
+// detector and corrector conditions, convergence, deadlock hunts, and the
+// exploration-free provers — behind the verdict protocol of
+// internal/serve/api, as a long-running HTTP daemon (Server). The dcserved
+// handler and the dctl verdict subcommand both decide through
+// verify.Decide, so a verdict served over HTTP is computed by exactly the
+// code that computes it at the command line, and the byte-parity tests can
+// compare the two transports verbatim.
 package serve
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 
-	"detcorr/internal/core"
-	"detcorr/internal/explore"
-	"detcorr/internal/fault"
 	"detcorr/internal/gcl"
-	"detcorr/internal/prove"
 	"detcorr/internal/serve/api"
-	"detcorr/internal/spec"
-	"detcorr/internal/state"
+	"detcorr/internal/verify"
 )
 
 // UsageError marks a request that is well-formed JSON but asks a malformed
-// question: an unknown check, a missing required field, a predicate name
-// the program does not declare. It maps to HTTP 400 and dctl exit code 2.
-type UsageError struct{ Err error }
+// question. It maps to HTTP 400 and dctl exit code 2.
+type UsageError = verify.UsageError
 
-func (e *UsageError) Error() string { return e.Err.Error() }
-func (e *UsageError) Unwrap() error { return e.Err }
-
-func usagef(format string, args ...any) error {
-	return &UsageError{Err: fmt.Errorf(format, args...)}
-}
-
-// pred resolves a predicate by declared name; empty and "true" mean the
-// constant true predicate, mirroring the dctl flag convention.
-func pred(f *gcl.File, name, field string) (state.Predicate, error) {
-	if name == "" || name == "true" {
-		return state.True, nil
-	}
-	p, ok := f.Pred(name)
-	if !ok {
-		return state.Predicate{}, usagef("%s: no predicate %q declared in the program", field, name)
-	}
-	return p, nil
-}
-
-func parseKind(s string) (fault.Kind, error) {
-	switch s {
-	case "failsafe", "fail-safe":
-		return fault.FailSafe, nil
-	case "nonmasking":
-		return fault.Nonmasking, nil
-	case "masking":
-		return fault.Masking, nil
-	default:
-		return 0, usagef("tolerant: unknown tolerance kind %q (want failsafe, nonmasking, or masking)", s)
-	}
-}
-
-// Eval computes the verdict for req against the compiled file f. The
-// returned error is nil whenever a verdict was reached — a failing property
-// is a verdict (api.VerdictFails), not an error. Non-nil errors are either
-// *UsageError (the request asks a malformed question), a context
-// cancellation (the caller walked away mid-exploration), or an exploration
-// failure such as explore.ErrStateBound.
-//
-// Eval is safe for concurrent use with any receiver-free checker state:
-// everything mutable it touches is either per-call or behind the explore
-// package's own synchronization.
+// Eval computes the verdict for req against the compiled file f, on a
+// fresh ladder value: nothing derived from f outlives the call except the
+// graphs the exploration cache keeps. The returned error is nil whenever a
+// verdict was reached — a failing property is a verdict
+// (api.VerdictFails), not an error. Non-nil errors are either *UsageError
+// (the request asks a malformed question), a context cancellation (the
+// caller walked away mid-exploration), or an exploration failure such as
+// explore.ErrStateBound.
 func Eval(ctx context.Context, f *gcl.File, req api.Request) (*api.Response, error) {
-	if err := req.Validate(); err != nil {
-		return nil, &UsageError{Err: err}
-	}
-	resp := &api.Response{Check: req.Check, Program: f.Name}
-	switch req.Check {
-	case api.CheckClosure:
-		return evalClosure(ctx, f, req, resp)
-	case api.CheckDetects, api.CheckCorrects:
-		return evalComponent(ctx, f, req, resp)
-	case api.CheckConvergence:
-		return evalConvergence(ctx, f, req, resp)
-	case api.CheckDeadlock:
-		return evalDeadlock(ctx, f, req, resp)
-	case api.CheckProve:
-		return evalProve(ctx, f, req, resp)
-	}
-	return nil, usagef("check: unknown check %q", req.Check)
-}
-
-// fail records a failing verdict unless err is the caller's own
-// cancellation, which is never a verdict.
-func fail(ctx context.Context, resp *api.Response, err error) (*api.Response, error) {
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	resp.Verdict = api.VerdictFails
-	resp.Detail = err.Error()
-	return resp, nil
+	resp, _, err := verify.Decide(ctx, verify.New(f, nil), req)
+	return resp, err
 }
 
 // isCancellation reports whether err stems from a context ending.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// isVerdictErr distinguishes a property violation — which is a fails
-// verdict, evidence and all — from an operational failure (state bound
-// exceeded, unindexable schema) that no verdict can be built from.
-func isVerdictErr(err error) bool {
-	var cv *spec.ClosureViolation
-	var lv *explore.LivenessViolation
-	var ce *core.ConditionError
-	return errors.As(err, &cv) || errors.As(err, &lv) || errors.As(err, &ce)
-}
-
-func evalClosure(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {
-	s, err := pred(f, req.Invariant, "invariant")
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.CheckClosedCtx(ctx, f.Program, s); err != nil {
-		if !isVerdictErr(err) {
-			return nil, err
-		}
-		return fail(ctx, resp, err)
-	}
-	resp.Verdict = api.VerdictHolds
-	return resp, nil
-}
-
-func evalComponent(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {
-	z, err := pred(f, req.Z, "z")
-	if err != nil {
-		return nil, err
-	}
-	x, err := pred(f, req.X, "x")
-	if err != nil {
-		return nil, err
-	}
-	u, err := pred(f, req.From, "from")
-	if err != nil {
-		return nil, err
-	}
-	var check func(context.Context) error
-	var tolerant func(context.Context, fault.Kind) error
-	if req.Check == api.CheckDetects {
-		d := core.Detector{Name: f.Name, D: f.Program, Z: z, X: x, U: u}
-		check = d.CheckCtx
-		tolerant = func(ctx context.Context, k fault.Kind) error { return d.CheckFTolerantCtx(ctx, f.Faults, k) }
-	} else {
-		c := core.Corrector{Name: f.Name, C: f.Program, Z: z, X: x, U: u}
-		check = c.CheckCtx
-		tolerant = func(ctx context.Context, k fault.Kind) error { return c.CheckFTolerantCtx(ctx, f.Faults, k) }
-	}
-	if err := check(ctx); err != nil {
-		if !isVerdictErr(err) {
-			return nil, err
-		}
-		return fail(ctx, resp, err)
-	}
-	if req.Tolerant != "" {
-		kind, err := parseKind(req.Tolerant)
-		if err != nil {
-			return nil, err
-		}
-		if err := tolerant(ctx, kind); err != nil {
-			if !isVerdictErr(err) {
-				return nil, err
-			}
-			return fail(ctx, resp, fmt.Errorf("%s-tolerant: %w", kind, err))
-		}
-	}
-	resp.Verdict = api.VerdictHolds
-	return resp, nil
-}
-
-func evalConvergence(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {
-	s, err := pred(f, req.Invariant, "invariant")
-	if err != nil {
-		return nil, err
-	}
-	r, err := pred(f, req.Goal, "goal")
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.CheckConvergesCtx(ctx, f.Program, s, r); err != nil {
-		if !isVerdictErr(err) {
-			return nil, err
-		}
-		return fail(ctx, resp, err)
-	}
-	resp.Verdict = api.VerdictHolds
-	return resp, nil
-}
-
-func evalDeadlock(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {
-	from, err := pred(f, req.From, "from")
-	if err != nil {
-		return nil, err
-	}
-	prog := f.Program
-	var fairMask []bool
-	if req.Faults && !f.Faults.Empty() {
-		if prog, fairMask, err = fault.Compose(f.Program, f.Faults); err != nil {
-			return nil, err
-		}
-	}
-	trace, found, err := explore.FindDeadlockCtx(ctx, prog, from, explore.ScanOptions{Fair: fairMask, MaxStates: req.MaxStates})
-	if err != nil {
-		return nil, err
-	}
-	if !found {
-		resp.Verdict = api.VerdictDeadlockFree
-		return resp, nil
-	}
-	resp.Verdict = api.VerdictDeadlock
-	resp.Detail = fmt.Sprintf("deadlock reached in %d steps", len(trace)-1)
-	for _, s := range trace {
-		resp.Witness = append(resp.Witness, s.String())
-	}
-	return resp, nil
-}
-
-func evalProve(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {
-	if f.AST == nil {
-		return nil, usagef("prove: the compiled file carries no AST")
-	}
-	// A fresh System per evaluation: System is not safe for concurrent use,
-	// and deriving one is an AST walk — far cheaper than serializing every
-	// prove verdict behind one shared instance.
-	sys, err := prove.NewSystem(f.AST)
-	if err != nil {
-		return nil, usagef("prove: %v", err)
-	}
-	u := req.From
-	if u == "" {
-		u = "true"
-	}
-	var reports []*prove.Report
-	if req.Invariant != "" {
-		rep, err := prove.ProveClosureCtx(ctx, sys, req.Invariant)
-		if err != nil {
-			return nil, proveErr(err)
-		}
-		reports = append(reports, rep)
-		if req.Span != "" {
-			span := req.Span
-			if span == "auto" {
-				span = ""
-			}
-			rep, err := prove.ProveSpanClosureCtx(ctx, sys, req.Invariant, span)
-			if err != nil {
-				return nil, proveErr(err)
-			}
-			reports = append(reports, rep)
-		}
-	}
-	if req.Z != "" {
-		rep, err := prove.ProveSafenessCtx(ctx, sys, u, req.Z, req.X)
-		if err != nil {
-			return nil, proveErr(err)
-		}
-		reports = append(reports, rep)
-	}
-	if req.Goal != "" {
-		var rank []gcl.Expr
-		if req.Rank != "" {
-			for _, part := range strings.Split(req.Rank, ",") {
-				e, err := gcl.ParseExpr(strings.TrimSpace(part))
-				if err != nil {
-					return nil, usagef("rank: %v", err)
-				}
-				rank = append(rank, e)
-			}
-		}
-		rep, err := prove.ProveConvergenceCtx(ctx, sys, u, req.Goal, rank)
-		if err != nil {
-			return nil, proveErr(err)
-		}
-		reports = append(reports, rep)
-	}
-	resp.Reports = reports
-	worst := prove.Proved
-	for _, rep := range reports {
-		if rep.Verdict == prove.Disproved {
-			worst = prove.Disproved
-			break
-		}
-		if rep.Verdict == prove.Unknown {
-			worst = prove.Unknown
-		}
-	}
-	switch worst {
-	case prove.Disproved:
-		resp.Verdict = api.VerdictDisproved
-	case prove.Unknown:
-		resp.Verdict = api.VerdictUnknown
-	default:
-		resp.Verdict = api.VerdictProved
-	}
-	return resp, nil
-}
-
-// proveErr classifies an error from a prover entry point: cancellation
-// passes through, anything else (an unknown predicate name, a bad rank
-// component) is the requester's usage error.
-func proveErr(err error) error {
-	if isCancellation(err) {
-		return err
-	}
-	return &UsageError{Err: err}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"detcorr/internal/explore"
+	"detcorr/internal/verify"
 )
 
 // metrics is the server's hand-rolled instrument panel, exported in the
@@ -21,6 +22,9 @@ type metrics struct {
 	hits, misses, joins atomic.Int64
 	inFlight            atomic.Int64
 	tenantEvictions     atomic.Int64
+
+	// Decisions by the ladder rung that made them (verify.Rungs order).
+	rungs [len(verify.Rungs)]atomic.Int64
 
 	// Revision-pipeline counters (POST /v1/revise and Advance).
 	verdictsPreserved   atomic.Int64
@@ -52,6 +56,15 @@ func (m *metrics) observe(code int, cacheState string, _ time.Duration) {
 		m.misses.Add(1)
 	case "join":
 		m.joins.Add(1)
+	}
+}
+
+func (m *metrics) observeRung(r verify.Rung) {
+	for i, known := range verify.Rungs {
+		if known == r {
+			m.rungs[i].Add(1)
+			return
+		}
 	}
 }
 
@@ -88,6 +101,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "dcserved_verdicts_total{cache=\"hit\"} %d\n", m.hits.Load())
 	fmt.Fprintf(w, "dcserved_verdicts_total{cache=\"miss\"} %d\n", m.misses.Load())
 	fmt.Fprintf(w, "dcserved_verdicts_total{cache=\"join\"} %d\n", m.joins.Load())
+
+	fmt.Fprintln(w, "# HELP dcserved_decisions_total Verdicts decided, by the ladder rung that decided them.")
+	fmt.Fprintln(w, "# TYPE dcserved_decisions_total counter")
+	for i, r := range verify.Rungs {
+		fmt.Fprintf(w, "dcserved_decisions_total{rung=%q} %d\n", r, m.rungs[i].Load())
+	}
 
 	fmt.Fprintln(w, "# HELP dcserved_in_flight Evaluations currently running.")
 	fmt.Fprintln(w, "# TYPE dcserved_in_flight gauge")

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"detcorr/internal/explore"
-	"detcorr/internal/gcl"
 	"detcorr/internal/serve/api"
+	"detcorr/internal/verify"
 )
 
 // Config tunes a Server. The zero value of every field selects a sensible
@@ -90,7 +90,7 @@ type flight struct {
 	done   chan struct{}
 	cancel context.CancelFunc
 	refs   int // guarded by Server.mu
-	file   *gcl.File
+	prog   *verify.Program
 	resp   *api.Response
 	err    error
 }
@@ -228,8 +228,8 @@ func (s *Server) handleVerdict(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRevise runs the revision pipeline: compile both sources through
-// the registry (so the new revision is resident, linted, and certified
-// exactly as a verdict request would leave it), then migrate graphs and
+// the registry (so the new revision is resident and linted exactly as a
+// verdict request would leave it), then migrate graphs and
 // verdicts. The body limit is doubled because the request carries two full
 // sources.
 func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
@@ -254,17 +254,18 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 		s.writeVerdictError(w, r, &UsageError{Err: err})
 		return
 	}
-	oldFile, err := s.programs.load(req.Old)
+	oldProg, err := s.programs.load(req.Old)
 	if err != nil {
 		s.writeVerdictError(w, r, fmt.Errorf("old revision: %w", err))
 		return
 	}
-	newFile, err := s.programs.load(req.New)
+	newProg, err := s.programs.load(req.New)
 	if err != nil {
 		s.writeVerdictError(w, r, fmt.Errorf("new revision: %w", err))
 		return
 	}
-	rep := s.Advance(oldFile, newFile)
+	newFile := newProg.File()
+	rep := s.Advance(oldProg.File(), newFile)
 	w.Header().Set("Content-Type", "application/json")
 	if err := api.Encode(w, rep); err != nil {
 		s.logf("serve: write revise response: %v", err)
@@ -300,6 +301,13 @@ func (s *Server) verdict(ctx context.Context, req api.Request, tenant string, pr
 		resp, err := s.wait(ctx, key, fl, tenant)
 		return resp, "join", err
 	}
+	// The flight for this question may have published its verdict and
+	// left since the first look: run caches the verdict before it drops
+	// the flight, so under the lock one of the two is always visible.
+	if resp, ok := s.verdicts.get(key); ok {
+		s.mu.Unlock()
+		return resp, "hit", nil
+	}
 	// No flight to join: admission. The slot is acquired before the flight
 	// exists, so a saturated server refuses instead of accumulating work.
 	select {
@@ -331,9 +339,9 @@ func (s *Server) verdict(ctx context.Context, req api.Request, tenant string, pr
 }
 
 // run evaluates one flight: compile (deduplicated by the program registry),
-// evaluate, publish. Successful verdicts enter the verdict cache; failures
-// of any kind are never cached, mirroring the graph cache's no-poisoning
-// rule.
+// decide on the registry's ladder value, publish. Successful verdicts enter
+// the verdict cache; failures of any kind are never cached, mirroring the
+// graph cache's no-poisoning rule.
 func (s *Server) run(ctx context.Context, fl *flight, key [sha256.Size]byte, req api.Request) {
 	defer s.evals.Done()
 	defer func() { <-s.sem }()
@@ -341,21 +349,27 @@ func (s *Server) run(ctx context.Context, fl *flight, key [sha256.Size]byte, req
 	if s.testGate != nil {
 		s.testGate()
 	}
-	file, err := s.programs.load(req.Program)
+	prog, err := s.programs.load(req.Program)
 	if err == nil {
-		fl.file = file
-		fl.resp, fl.err = Eval(ctx, file, req)
+		var rung verify.Rung
+		fl.prog = prog
+		fl.resp, rung, fl.err = verify.Decide(ctx, prog, req)
+		if fl.err == nil {
+			s.met.observeRung(rung)
+		}
 	} else {
 		fl.err = err
 	}
 	s.met.observeEval(time.Since(start))
 
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
+	// Publish before leaving: a request that misses the flight must find
+	// the verdict (see verdict), or it would evaluate the question again.
 	if fl.err == nil {
 		s.verdicts.put(key, req, fl.resp)
 	}
+	s.mu.Lock()
+	delete(s.flights, key)
+	s.mu.Unlock()
 	close(fl.done)
 }
 
@@ -378,7 +392,7 @@ func (s *Server) wait(ctx context.Context, key [sha256.Size]byte, fl *flight, te
 	if fl.err != nil {
 		return nil, fl.err
 	}
-	s.chargeTenant(tenant, fl.file)
+	s.chargeTenant(tenant, fl.prog)
 	return fl.resp, nil
 }
 

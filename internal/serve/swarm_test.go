@@ -14,10 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"detcorr/internal/explore"
-	"detcorr/internal/gcl"
 	"detcorr/internal/serve/api"
 	"detcorr/internal/serve/corpus"
+	"detcorr/internal/verify"
 )
 
 // The swarm is the service's proof of correctness under load: a fleet of
@@ -194,7 +193,7 @@ func TestSwarmTenantQuota(t *testing.T) {
 	for name, ts := range srv.tenants {
 		usage := 0
 		for el := ts.lru.Front(); el != nil; el = el.Next() {
-			usage += explore.ResidentOf(el.Value.(*gcl.File).Program)
+			usage += el.Value.(*verify.Program).Resident()
 		}
 		if usage > budget && ts.lru.Len() > 1 {
 			t.Errorf("tenant %q: %d resident states across %d programs exceeds budget %d", name, usage, ts.lru.Len(), budget)

@@ -3,7 +3,6 @@ package spec
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"detcorr/internal/explore"
 	"detcorr/internal/guarded"
@@ -24,87 +23,31 @@ func (v *ClosureViolation) Error() string {
 		v.Predicate, v.Action, v.From, v.To)
 }
 
-// ClosureProver is an optional exploration-free fast path for CheckClosed:
-// it reports true only when it has proved that s is closed in p. Anything
-// short of a proof (including a disproof) returns false and CheckClosed
-// falls back to enumeration, so registering a prover can never change a
-// verdict — it only skips work. internal/prove registers one via Certify.
-type ClosureProver func(p *guarded.Program, s state.Predicate) bool
-
-// The hooks are stored atomically: prove and flow install them on their
-// first Certify, possibly while other goroutines are already checking.
-var closureProver atomic.Pointer[ClosureProver]
-
-// RegisterClosureProver installs the fast path. Passing nil removes it.
-func RegisterClosureProver(f ClosureProver) { closureProver.Store(&f) }
-
-// loadHook returns the installed hook, or nil.
-func loadHook[F any](h *atomic.Pointer[F]) (f F) {
-	if p := h.Load(); p != nil {
-		f = *p
-	}
-	return f
-}
-
-// ClosedSlicer is an optional cone-of-influence pre-pass for CheckClosed:
-// it runs the check on a sliced program whose verdicts provably coincide
-// with the full program's, returning (verdict, true) when it decided the
-// check and (_, false) when slicing does not apply. Callers accept a nil
-// verdict directly but re-derive violations on the full program, so the
-// reported witness states are always full-width. internal/flow registers
-// one via Certify.
-type ClosedSlicer func(ctx context.Context, p *guarded.Program, s state.Predicate) (error, bool)
-
-var closedSlicer atomic.Pointer[ClosedSlicer]
-
-// RegisterClosedSlicer installs the slicing pre-pass. Passing nil removes it.
-func RegisterClosedSlicer(f ClosedSlicer) { closedSlicer.Store(&f) }
-
-// ConvergesSlicer is the CheckConverges form of ClosedSlicer.
-type ConvergesSlicer func(ctx context.Context, p *guarded.Program, s, r state.Predicate) (error, bool)
-
-var convergesSlicer atomic.Pointer[ConvergesSlicer]
-
-// RegisterConvergesSlicer installs the slicing pre-pass. Passing nil
-// removes it.
-func RegisterConvergesSlicer(f ConvergesSlicer) { convergesSlicer.Store(&f) }
-
 // CheckClosed verifies "S is closed in p" (Section 2.2.1): p refines cl(S)
 // from true, i.e. every transition of p from a state satisfying S lands in a
-// state satisfying S. The work ladder, cheapest first: a registered prover
-// that discharges the per-action closure obligations returns immediately; a
-// graph already in the process-wide cache (built from S or from true, either
-// of which covers every S-state) answers from its precomputed edges; failing
-// both, a streaming kernel scan enumerates the S-states and their immediate
-// transitions with early exit at the first violation — one pass, no graph
-// assembly.
+// state satisfying S. A graph already in the process-wide cache (built from
+// S or from true, either of which covers every S-state) answers from its
+// precomputed edges; otherwise a streaming kernel scan enumerates the
+// S-states and their immediate transitions with early exit at the first
+// violation — one pass, no graph assembly. The prover and slicer rungs that
+// may go first live in internal/verify.
 func CheckClosed(p *guarded.Program, s state.Predicate) error {
 	return CheckClosedCtx(context.Background(), p, s)
 }
 
 // CheckClosedCtx is CheckClosed under a context: cancellation aborts the
-// fallback kernel scan with ctx.Err(). The prover and cached-graph rungs of
-// the ladder are not interruptible — they are already cheap.
+// kernel scan with ctx.Err(). The cached-graph answer is not interruptible
+// — it is already cheap.
 func CheckClosedCtx(ctx context.Context, p *guarded.Program, s state.Predicate) error {
-	if prove := loadHook(&closureProver); prove != nil && prove(p, s) {
-		return nil
-	}
-	if g, ok := closureGraph(p, s); ok {
+	if g, ok := ClosureGraph(p, s); ok {
 		return CheckClosedOn(g, s)
-	}
-	if slice := loadHook(&closedSlicer); slice != nil {
-		if verdict, ok := slice(ctx, p, s); ok && verdict == nil {
-			return nil
-		}
-		// A sliced violation proves one exists; fall through so the
-		// full-space scan reports it with full-width witness states.
 	}
 	return scanPair(ctx, p, s, s, s.String())
 }
 
-// closureGraph finds a cached graph that contains every S-state: one built
+// ClosureGraph finds a cached graph that contains every S-state: one built
 // from S itself, or the full-space graph.
-func closureGraph(p *guarded.Program, s state.Predicate) (*explore.Graph, bool) {
+func ClosureGraph(p *guarded.Program, s state.Predicate) (*explore.Graph, bool) {
 	if g, ok := explore.Peek(p, s, explore.Options{}); ok {
 		return g, true
 	}
@@ -204,20 +147,18 @@ func CheckConverges(p *guarded.Program, s, r state.Predicate) error {
 // the closure scans and the graph build with ctx.Err(). The liveness query
 // on the built graph is not interruptible — it is linear in the graph.
 func CheckConvergesCtx(ctx context.Context, p *guarded.Program, s, r state.Predicate) error {
-	// The sliced pre-pass only pays when the liveness graph is not already
-	// cached; a nil sliced verdict is final, a violation is re-derived on
-	// the full program below so the witness carries every variable.
-	if slice := loadHook(&convergesSlicer); slice != nil {
-		if _, cached := explore.Peek(p, s, explore.Options{}); !cached {
-			if verdict, ok := slice(ctx, p, s, r); ok && verdict == nil {
-				return nil
-			}
-		}
-	}
-	if err := CheckClosedCtx(ctx, p, s); err != nil {
+	return CheckConvergesUsing(ctx, p, s, r, CheckClosedCtx)
+}
+
+// CheckConvergesUsing is CheckConvergesCtx with the two closure obligations
+// decided by closed, which must return CheckClosedCtx's verdict (the
+// decision ladder passes its prover-first closure check).
+func CheckConvergesUsing(ctx context.Context, p *guarded.Program, s, r state.Predicate,
+	closed func(context.Context, *guarded.Program, state.Predicate) error) error {
+	if err := closed(ctx, p, s); err != nil {
 		return fmt.Errorf("converges(%s -> %s): %w", s, r, err)
 	}
-	if err := CheckClosedCtx(ctx, p, r); err != nil {
+	if err := closed(ctx, p, r); err != nil {
 		return fmt.Errorf("converges(%s -> %s): %w", s, r, err)
 	}
 	g, err := explore.SharedCtx(ctx, p, s, explore.Options{})

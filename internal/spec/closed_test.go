@@ -4,9 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"detcorr/internal/guarded"
-	"detcorr/internal/state"
 )
 
 // TestClosureViolationWitness pins the witness a failing CheckClosed
@@ -52,41 +49,5 @@ func TestClosureViolationFormatting(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("message %q missing %q", msg, want)
 		}
-	}
-}
-
-// TestCheckClosedProverHook checks the fast-path contract: a registered
-// prover that claims a proof short-circuits the check, one that declines
-// leaves the verdict to enumeration, and the hook never runs after
-// deregistration.
-func TestCheckClosedProverHook(t *testing.T) {
-	defer RegisterClosureProver(nil)
-
-	p := counter(t, 5, dec())
-	calls := 0
-	// A prover that declines everything: CheckClosed must still find the
-	// violation by enumeration.
-	RegisterClosureProver(func(_ *guarded.Program, _ state.Predicate) bool {
-		return false
-	})
-	if err := CheckClosed(p, atLeast(2)); err == nil {
-		t.Fatal("a declining prover must not change the verdict")
-	}
-	// A prover that (unsoundly, for the test) claims success: the check
-	// must return immediately with nil. This pins the short-circuit shape;
-	// soundness of the real prover is internal/prove's and difftest's job.
-	RegisterClosureProver(func(_ *guarded.Program, _ state.Predicate) bool {
-		calls++
-		return true
-	})
-	if err := CheckClosed(p, atLeast(2)); err != nil {
-		t.Fatalf("a proving hook must short-circuit: %v", err)
-	}
-	if calls != 1 {
-		t.Errorf("hook ran %d times, want 1", calls)
-	}
-	RegisterClosureProver(nil)
-	if err := CheckClosed(p, atLeast(2)); err == nil {
-		t.Fatal("after deregistration the enumeration verdict must return")
 	}
 }

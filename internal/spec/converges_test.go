@@ -13,9 +13,6 @@ import (
 // cache, so a repeated check builds nothing at all. Counter deltas are read
 // from the process-global cache statistics, so no t.Parallel here.
 func TestCheckConvergesOneBuild(t *testing.T) {
-	saved := loadHook(&closureProver)
-	RegisterClosureProver(nil)
-	defer RegisterClosureProver(saved)
 	explore.ResetCache()
 
 	p := counter(t, 5, inc(5))
