@@ -9,7 +9,7 @@ LINT_CLEAN := $(filter-out \
 	internal/lint/testdata/resolve.gcl, \
 	$(wildcard internal/lint/testdata/*.gcl))
 
-.PHONY: check build fmt vet dcvet dccodes test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-spill bench-slice bench-incr profile clean
+.PHONY: check build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-spill bench-slice bench-incr profile clean
 
 # The full local gate: everything CI would run.
 check: build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz
@@ -50,14 +50,10 @@ watch-test:
 		./internal/explore/... ./internal/flow ./internal/serve ./internal/watch ./cmd/dctl
 
 # The repo's own analyzer suite (internal/analyzers) over the whole module:
-# kernel zero-alloc contract, atomics discipline, cache-key completeness,
-# CSR write-once rules, exit-code/DC-code doc agreement, .gitignore shadowing.
+# kernel zero-alloc contract, cache-key completeness, CSR write-once rules,
+# exit-code/DC-code doc agreement, .gitignore shadowing.
 dcvet:
 	$(GO) run ./cmd/dcvet
-
-# Back-compat alias for the DC-code table check, now one dcvet analyzer.
-dccodes:
-	$(GO) run ./cmd/dccodes
 
 # dclint over every shipped GCL program and every internal/lint fixture that
 # is expected to pass; fails on error-severity findings.
@@ -116,7 +112,7 @@ bench-diff:
 	$(GO) test -json -run='^$$' -bench='ServedSwarm' ./internal/serve > BENCH_served.json
 	@grep -o '"Output":"[^"]*"' BENCH_served.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
 
-# bench-spill records the out-of-core engine's evidence in BENCH_spill.json:
+# bench-spill records the spilled scan's evidence in BENCH_spill.json:
 # one JSON row per run of the full SPILL_RING-process token-ring state
 # space — the unbudgeted in-RAM baseline plus each SPILL_BUDGETS memory
 # budget — with states/sec, peak RSS (VmHWM), bytes spilled, and the Bloom
@@ -162,4 +158,4 @@ profile:
 
 # BENCH_*.json are recorded evidence, not build products; clean leaves them.
 clean:
-	rm -f dctl dcbench dcvet dccodes cpu.pprof mem.pprof
+	rm -f dctl dcbench dcvet cpu.pprof mem.pprof

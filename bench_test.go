@@ -145,7 +145,7 @@ func BenchmarkGraphBuild(b *testing.B) {
 // pairs differ only in wall-clock. EXPERIMENTS.md records measured ratios.
 
 // parWorkers is the worker count the Par benchmarks use: every CPU, but at
-// least two so the parallel engine is actually exercised (and its overhead
+// least two so the worker pool is actually exercised (and its overhead
 // measured) even on a single-core machine.
 func parWorkers() int {
 	if n := explore.AutoParallelism(); n > 2 {
@@ -350,6 +350,23 @@ func BenchmarkScanFullSweep(b *testing.B) {
 		}
 		if stats.States != 823543 {
 			b.Fatalf("unexpected state count %d", stats.States)
+		}
+	}
+}
+
+// BenchmarkFindDeadlockRing7K8 is the large-space workload's largest scan:
+// a deadlock hunt over Dijkstra's ring with 7 machines and 8 counter
+// values. No state of the 8^7 = 2,097,152 is deadlocked, so the hunt
+// sweeps them all and records a parent for each.
+func BenchmarkFindDeadlockRing7K8(b *testing.B) {
+	f, err := gcl.ParseAndCompile(difftest.RingSource(7, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found, err := explore.FindDeadlock(f.Program, state.True, explore.ScanOptions{}); err != nil || found {
+			b.Fatalf("found=%v err=%v", found, err)
 		}
 	}
 }

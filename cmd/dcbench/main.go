@@ -8,7 +8,7 @@
 //	dcbench -list      # list experiment ids
 //	dcbench -stats     # also print graph-cache and spill counters after the run
 //	dcbench -swarm 64  # drive an in-process dcserved with a client swarm
-//	dcbench -spill 8   # sweep the out-of-core engine over the ring-8 state space
+//	dcbench -spill 8   # sweep a spilled scan over the ring-8 state space
 //	dcbench -slice 7   # measure cone-of-influence slicing on composed systems
 //	dcbench -incr 7    # measure incremental re-verification of scripted edits
 //
@@ -78,7 +78,7 @@ func run(args []string) error {
 	stats := fs.Bool("stats", false, "print graph-cache counters after the run")
 	swarm := fs.Int("swarm", 0, "drive an in-process dcserved with this many concurrent clients instead of running experiments")
 	swarmRounds := fs.Int("swarm-rounds", 3, "corpus replays per swarm client")
-	spill := fs.Int("spill", 0, "sweep the out-of-core engine over the full state space of an n-process token ring instead of running experiments")
+	spill := fs.Int("spill", 0, "sweep a spilled scan over the full state space of an n-process token ring instead of running experiments")
 	slice := fs.Int("slice", 0, "measure the cone-of-influence slicing pre-pass on composed systems (n sizes the watched token ring) instead of running experiments")
 	incr := fs.Int("incr", 0, "measure incremental re-verification of scripted edits on an n-process token ring instead of running experiments")
 	spillBudgets := fs.String("spill-budgets", "16M,64M,256M", "comma-separated memory budgets for the -spill sweep")

@@ -1,6 +1,6 @@
 package main
 
-// The -spill sweep: the out-of-core engine's evidence record. It streams
+// The -spill sweep: the evidence record of spilled exploration. It streams
 // the Dijkstra token ring's full state space (K^n states for ring -spill n)
 // through explore.Scan at each budget in -spill-budgets, plus an in-RAM
 // baseline, and prints one JSON document per line with throughput, peak

@@ -12,7 +12,7 @@
 //
 // -mem-budget B (e.g. 64M, 2G) bounds the memory any one exploration may
 // hold resident: evaluations whose state space would outgrow the budget
-// degrade to the out-of-core engine — spilling the visited set and BFS
+// degrade to spilled exploration — spilling the visited set and BFS
 // frontier to files under -spill-dir — instead of being refused or growing
 // without bound. Verdicts are byte-identical either way, and explorations
 // that fit the budget never touch disk.
@@ -96,7 +96,7 @@ func run(args []string, errOut io.Writer) int {
 	maxPrograms := fs.Int("max-programs", 0, "max distinct compiled programs kept resident (0 = default)")
 	maxBody := fs.Int64("max-body", 0, "max request body bytes (0 = default)")
 	verdictCache := fs.Int("verdict-cache", 0, "max memoized verdicts (0 = default, negative disables)")
-	memBudget := fs.String("mem-budget", "", "per-exploration memory budget, e.g. 64M or 2G (empty = in-RAM engines)")
+	memBudget := fs.String("mem-budget", "", "per-exploration memory budget, e.g. 64M or 2G (empty = in RAM)")
 	spillDir := fs.String("spill-dir", "", "directory for exploration spill files (default: the OS temp directory)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight verdicts on shutdown")
 	noslice := fs.Bool("noslice", false, "disable the cone-of-influence slicing pre-pass")

@@ -40,7 +40,7 @@ func setParallelism(j int) {
 // the budget; explorations that fit never touch disk, so the flag is a
 // ceiling, not a mode switch.
 func spillFlags(fs *flag.FlagSet) func() error {
-	budget := fs.String("mem-budget", "", "exploration memory budget, e.g. 512K, 64M, 2G (empty = in-RAM engines)")
+	budget := fs.String("mem-budget", "", "exploration memory budget, e.g. 512K, 64M, 2G (empty = in RAM)")
 	dir := fs.String("spill-dir", "", "directory for spill files (default: the OS temp directory)")
 	return func() error {
 		if *budget == "" {

@@ -7,7 +7,6 @@ package all
 
 import (
 	"detcorr/internal/analyzers"
-	"detcorr/internal/analyzers/atomics"
 	"detcorr/internal/analyzers/cachekey"
 	"detcorr/internal/analyzers/dccodes"
 	"detcorr/internal/analyzers/exitcodes"
@@ -19,7 +18,6 @@ import (
 // Analyzers returns the full suite in name order.
 func Analyzers() []*analyzers.Analyzer {
 	return []*analyzers.Analyzer{
-		atomics.Analyzer(),
 		cachekey.Analyzer(),
 		dccodes.Analyzer(),
 		exitcodes.Analyzer(),

@@ -18,10 +18,9 @@
 //	//dc:immutable          struct fields are write-once after build
 //	//dc:mutates <Type>     file is a sanctioned builder of <Type>
 //
-// Individual analyzers live in subpackages (zeroalloc, atomics, cachekey,
-// graphmut, exitcodes, dccodes, ignored); the registry that assembles the
-// full suite is internal/analyzers/all, and the command front end is
-// cmd/dcvet.
+// Individual analyzers live in subpackages (zeroalloc, cachekey, graphmut,
+// exitcodes, dccodes, ignored); the registry that assembles the full suite
+// is internal/analyzers/all, and the command front end is cmd/dcvet.
 package analyzers
 
 import (

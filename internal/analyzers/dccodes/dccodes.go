@@ -6,10 +6,10 @@
 // print the codes, lint:ignore directives name them), so an undocumented
 // or stale code is a real interface bug, not a style nit.
 //
-// The pass has two front ends over one core. CheckDir is the original
-// explicit-directory entry point used by cmd/dccodes; it checks both
-// directions unconditionally, since naming a directory is an assertion
-// that the package participates in the DC-code contract. Analyzer adapts
+// The pass has two front ends over one core. CheckDir is the
+// explicit-directory entry point; it checks both directions
+// unconditionally, since naming a directory is an assertion that the
+// package participates in the DC-code contract. Analyzer adapts
 // the pass to the dcvet driver for whole-module sweeps; there the check is
 // scoped to packages declaring at least one Code* constant, because other
 // packages (cmd/dctl's command doc, for one) legitimately mention DC codes

@@ -28,46 +28,63 @@ func cancellingInit(cancel context.CancelFunc) state.Predicate {
 	})
 }
 
+// cancelCells are the engine configurations the cancellation tests cover:
+// one and two workers, in RAM and under the minimum memory budget.
+var cancelCells = []Options{
+	{Parallelism: 1, MemBudget: -1},
+	{Parallelism: 2, MemBudget: -1},
+	{Parallelism: 1, MemBudget: spillMinBudget},
+	{Parallelism: 2, MemBudget: spillMinBudget},
+}
+
+// TestBuildCtxCancelled builds a 6-state counter under a context cancelled
+// before the build starts: small enough to finish before any background
+// observer of the context could run, so only a direct poll catches it.
+// Every repetition in every cell must fail with context.Canceled.
 func TestBuildCtxCancelled(t *testing.T) {
 	p := counter(t, 6, inc(6))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildCtx(ctx, p, state.True, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("sequential BuildCtx: want context.Canceled, got %v", err)
-	}
-	if _, err := BuildCtx(ctx, p, state.True, Options{Parallelism: 4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel BuildCtx: want context.Canceled, got %v", err)
+	for _, opts := range cancelCells {
+		for rep := 0; rep < 20; rep++ {
+			if g, err := BuildCtx(ctx, p, state.True, opts); g != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%+v, repetition %d: want no graph and context.Canceled, got %v, %v", opts, rep, g, err)
+			}
+		}
 	}
 }
 
 func TestSharedCtxCancelledBuildNotCached(t *testing.T) {
-	ResetCache()
 	p := counter(t, 6, inc(6))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	init := cancellingInit(cancel)
-	before := CacheStats()
-	if _, err := SharedCtx(ctx, p, init, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if _, ok := Peek(p, init, Options{}); ok {
-		t.Error("a cancelled build must not be resident")
-	}
-	// The aborted entry must not stick: a later live request rebuilds and
-	// caches normally.
-	g, err := Shared(p, init, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 6 {
-		t.Errorf("rebuilt graph has %d nodes, want 6", g.NumNodes())
-	}
-	after := CacheStats()
-	if d := after.Misses - before.Misses; d != 2 {
-		t.Errorf("misses = %d, want 2 (cancelled attempt + rebuild)", d)
-	}
-	if _, ok := Peek(p, init, Options{}); !ok {
-		t.Error("the rebuilt graph must be resident")
+	for _, opts := range cancelCells {
+		for rep := 0; rep < 20; rep++ {
+			ResetCache()
+			ctx, cancel := context.WithCancel(context.Background())
+			init := cancellingInit(cancel)
+			before := CacheStats()
+			if _, err := SharedCtx(ctx, p, init, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%+v, repetition %d: want context.Canceled, got %v", opts, rep, err)
+			}
+			if _, ok := Peek(p, init, opts); ok {
+				t.Fatalf("%+v, repetition %d: a cancelled build must not be resident", opts, rep)
+			}
+			// The aborted entry must not stick: a later live request rebuilds
+			// and caches normally.
+			g, err := Shared(p, init, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.NumNodes() != 6 {
+				t.Errorf("rebuilt graph has %d nodes, want 6", g.NumNodes())
+			}
+			after := CacheStats()
+			if d := after.Misses - before.Misses; d != 2 {
+				t.Errorf("misses = %d, want 2 (cancelled attempt + rebuild)", d)
+			}
+			if _, ok := Peek(p, init, opts); !ok {
+				t.Error("the rebuilt graph must be resident")
+			}
+		}
 	}
 }
 

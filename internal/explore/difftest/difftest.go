@@ -1,14 +1,18 @@
-// Package difftest checks that the sequential and parallel exploration
-// engines are interchangeable: Build with Parallelism 1 and Build with any
-// worker count must produce identical graphs — same states, node ids,
-// out-edges, in-lists, and fairness — for the same program and options.
-// The determinism contract (node ids canonically renumbered by state index)
-// is what makes this an exact equality rather than an isomorphism check,
-// and it is what keeps goldens and cross-engine comparisons byte-stable.
+// Package difftest holds the engine matrix and the graph comparison behind
+// the repo's differential suites. Build has one exploration engine, but
+// that engine runs with any worker count, in RAM or spilled under a memory
+// budget, and on compiled kernel bytecode or the closure adapter; every
+// combination must produce the identical graph — same states, node ids,
+// out-edges, in-lists, enabledness and fairness — for the same program and
+// options. The determinism contract (node ids canonically renumbered by
+// state index) is what makes this an exact equality rather than an
+// isomorphism check, and it is what keeps goldens and cross-engine
+// comparisons byte-stable.
 package difftest
 
 import (
 	"fmt"
+	"runtime"
 
 	"detcorr/internal/explore"
 	"detcorr/internal/guarded"
@@ -88,74 +92,46 @@ func StripCompiled(p *guarded.Program) *guarded.Program {
 	return guarded.MustProgram(p.Name(), p.Schema(), acts...)
 }
 
-// Check builds the program with the sequential engine and with each of the
-// given worker counts — and each of those both as-is (compiled kernel
-// bytecode, if the program carries any) and with the bytecode stripped
-// (pure closure adapter) — and returns an error describing the first
-// divergence. It is the engine- and kernel-equivalence assertion the
-// differential test suite runs over every example system.
-func Check(p *guarded.Program, init state.Predicate, opts explore.Options, workerCounts ...int) error {
-	stripped := StripCompiled(p)
-	opts.Parallelism = 1
-	ref, err := explore.Build(p, init, opts)
-	if err != nil {
-		return fmt.Errorf("sequential build: %w", err)
-	}
-	sg, err := explore.Build(stripped, init, opts)
-	if err != nil {
-		return fmt.Errorf("sequential closure-only build: %w", err)
-	}
-	if err := Diff(ref, sg); err != nil {
-		return fmt.Errorf("sequential closure-only build diverges: %w", err)
-	}
-	for _, w := range workerCounts {
-		opts.Parallelism = w
-		g, err := explore.Build(p, init, opts)
-		if err != nil {
-			return fmt.Errorf("parallel build (%d workers): %w", w, err)
-		}
-		if err := Diff(ref, g); err != nil {
-			return fmt.Errorf("parallel build (%d workers) diverges: %w", w, err)
-		}
-		sg, err := explore.Build(stripped, init, opts)
-		if err != nil {
-			return fmt.Errorf("parallel closure-only build (%d workers): %w", w, err)
-		}
-		if err := Diff(ref, sg); err != nil {
-			return fmt.Errorf("parallel closure-only build (%d workers) diverges: %w", w, err)
+// Cells returns opts once per cell of the engine matrix, with Parallelism
+// and MemBudget set: worker counts 1, 2, 3 and NumCPU, each under no
+// budget (in RAM), the 64 KiB floor, which spills the frontier and, on the
+// larger systems, the visited set, and 16 MiB, which every example fits
+// under, so it pins "a budget you fit under is a no-op".
+func Cells(opts explore.Options) []explore.Options {
+	var cells []explore.Options
+	for _, budget := range []int64{-1, 64 << 10, 16 << 20} {
+		for _, workers := range []int{1, 2, 3, runtime.NumCPU()} {
+			opts.MemBudget, opts.Parallelism = budget, workers
+			cells = append(cells, opts)
 		}
 	}
-	return nil
+	return cells
 }
 
-// CheckSpill is the out-of-core counterpart of Check: it builds the
-// program with the in-RAM sequential engine as the reference, then with
-// the disk-spilled engine at every budget × worker count given — spilled
-// sequential, spilled partitioned-parallel, and an off-default partition
-// count — and returns an error describing the first divergence. Exact
-// graph equality here is the proof that spilling, hash-partitioning the
-// visited set, and routing successors between owners never change what is
-// explored, only where it lives.
-func CheckSpill(p *guarded.Program, init state.Predicate, opts explore.Options, budgets []int64, workerCounts ...int) error {
-	opts.Parallelism = 1
-	opts.MemBudget = -1 // force the in-RAM engine for the reference
-	ref, err := explore.Build(p, init, opts)
-	if err != nil {
-		return fmt.Errorf("in-RAM build: %w", err)
-	}
-	for _, b := range budgets {
-		opts.MemBudget = b
-		for _, w := range append([]int{1}, workerCounts...) {
-			opts.Parallelism = w
-			for _, parts := range []int{0, 5} {
-				opts.Partitions = parts
-				g, err := explore.Build(p, init, opts)
-				if err != nil {
-					return fmt.Errorf("spilled build (budget %d, %d workers, %d partitions): %w", b, w, parts, err)
-				}
-				if err := Diff(ref, g); err != nil {
-					return fmt.Errorf("spilled build (budget %d, %d workers, %d partitions) diverges: %w", b, w, parts, err)
-				}
+// Check builds the program in every cell of the engine matrix (Cells),
+// both as-is (compiled kernel bytecode, if the program carries any) and
+// with the bytecode stripped (pure closure adapter), and returns an error
+// describing the first cell whose graph differs from ref.
+func Check(ref *explore.Graph, p *guarded.Program, init state.Predicate, opts explore.Options) error {
+	return CheckCells(ref, p, init, Cells(opts))
+}
+
+// CheckCells is Check over the given cells only, so a suite can split the
+// matrix between tests (in RAM and spilled, say) without building any cell
+// twice.
+func CheckCells(ref *explore.Graph, p *guarded.Program, init state.Predicate, cells []explore.Options) error {
+	progs := []struct {
+		kind string
+		prog *guarded.Program
+	}{{"compiled", p}, {"closure-only", StripCompiled(p)}}
+	for _, pr := range progs {
+		for _, cell := range cells {
+			g, err := explore.Build(pr.prog, init, cell)
+			if err != nil {
+				return fmt.Errorf("%s build (%d workers, budget %d): %w", pr.kind, cell.Parallelism, cell.MemBudget, err)
+			}
+			if err := Diff(ref, g); err != nil {
+				return fmt.Errorf("%s build (%d workers, budget %d) diverges: %w", pr.kind, cell.Parallelism, cell.MemBudget, err)
 			}
 		}
 	}

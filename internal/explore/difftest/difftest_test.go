@@ -2,93 +2,112 @@ package difftest
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 
-	"detcorr/internal/byzagree"
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
 	"detcorr/internal/gcl"
 	"detcorr/internal/guarded"
-	"detcorr/internal/leader"
-	"detcorr/internal/memaccess"
-	"detcorr/internal/mutex"
-	"detcorr/internal/reset"
 	"detcorr/internal/state"
-	"detcorr/internal/termdetect"
-	"detcorr/internal/tmr"
 	"detcorr/internal/tokenring"
 )
 
-// TestEnginesAgreeOnExamples is the differential suite: for every example
-// system in the repo, sequential and parallel Build must produce identical
-// graphs (same states, ids, edges, in-lists) for 2, 3, and NumCPU workers.
-func TestEnginesAgreeOnExamples(t *testing.T) {
-	mem := memaccess.MustNew(2)
-	byz := byzagree.MustNew()
-	tm := tmr.MustNew(2)
-	ring := tokenring.MustNew(4, 4)
-	mtx := mutex.MustNew(3, 3)
-	td := termdetect.MustNew(3)
-
-	cases := []struct {
-		name string
-		prog *guarded.Program
-		init state.Predicate
-	}{
-		{"memaccess/p", mem.Intolerant, state.True},
-		{"memaccess/pf", mem.FailSafe, state.True},
-		{"memaccess/pn", mem.Nonmasking, state.True},
-		{"memaccess/pm", mem.Masking, state.True},
-		{"tmr/intolerant", tm.Intolerant, state.True},
-		{"tmr/masking", tm.Masking, state.True},
-		{"tokenring", ring.Ring, state.True},
-		{"tokenring/legitimate", ring.Ring, ring.Legitimate},
-		{"byzagree/failsafe", byz.FailSafe, state.True},
-		{"byzagree/masking", byz.Masking, state.True},
-		{"mutex", mtx.Program, state.True},
-		{"mutex/invariant", mtx.Program, mtx.Invariant},
-		{"leader", leader.MustNew(3).Program, state.True},
-		{"reset", reset.MustNewLine(3).Program, state.True},
-		{"termdetect", td.Program, state.True},
-		{"termdetect/init", td.Program, td.Init},
+// anchor builds the graph every cell of the engine matrix must equal: one
+// worker, in RAM, compiled. The explore package's own engine tests hold
+// this cell to the kept reference engine on the same systems.
+func anchor(t *testing.T, p *guarded.Program, init state.Predicate, opts explore.Options) *explore.Graph {
+	t.Helper()
+	opts.Parallelism, opts.MemBudget = 1, -1
+	g, err := explore.Build(p, init, opts)
+	if err != nil {
+		t.Fatalf("one-worker in-RAM build: %v", err)
 	}
-	workers := []int{2, 3, runtime.NumCPU()}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	return g
+}
+
+// budgetCells returns the cells of the engine matrix that run under a
+// memory budget (spilled) or in RAM (!spilled). The example suites split
+// the matrix along this axis between two tests, so no cell is built twice.
+func budgetCells(opts explore.Options, spilled bool) []explore.Options {
+	var cells []explore.Options
+	for _, cell := range Cells(opts) {
+		if (cell.MemBudget > 0) == spilled {
+			cells = append(cells, cell)
+		}
+	}
+	return cells
+}
+
+// checkSystems runs the given cells of the engine matrix over every example
+// system, each anchored on its one-worker in-RAM build.
+func checkSystems(t *testing.T, spilled bool) {
+	for _, sys := range Systems() {
+		t.Run(sys.Name, func(t *testing.T) {
 			t.Parallel()
-			if err := Check(tc.prog, tc.init, explore.Options{}, workers...); err != nil {
+			ref := anchor(t, sys.Prog, sys.Init, explore.Options{})
+			if err := CheckCells(ref, sys.Prog, sys.Init, budgetCells(explore.Options{}, spilled)); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestEnginesAgreeUnderFairMask covers the p ‖ F shape: a program with its
-// fault actions marked unfair must explore identically in both engines.
-func TestEnginesAgreeUnderFairMask(t *testing.T) {
+// TestEnginesAgreeOnExamples is the differential suite: for every example
+// system in the repo, every in-RAM cell of the engine matrix — worker
+// counts × compiled or closure-only — must build an identical graph (same
+// states, ids, edges, in-lists). TestSpilledEngineAgreesOnExamples covers
+// the budgeted cells of the same matrix.
+func TestEnginesAgreeOnExamples(t *testing.T) { checkSystems(t, false) }
+
+// TestSpilledEngineAgreesOnExamples is the out-of-core half of the suite:
+// every example system under the 64 KiB floor budget (everything spills)
+// and a budget that fits (nothing should spill), at every worker count,
+// must build the graph of the in-RAM one-worker engine. Combined with
+// explore's own corruption tests (a torn spill file is a clean error),
+// this is the robustness story: spilling can slow a verdict down or fail
+// it loudly, but it can never change it.
+func TestSpilledEngineAgreesOnExamples(t *testing.T) { checkSystems(t, true) }
+
+// fairRing is the p ‖ F shape: a token ring with alternate actions marked
+// unfair, exercising the mask path.
+func fairRing() (*guarded.Program, explore.Options) {
 	ring := tokenring.MustNew(3, 3)
 	fair := make([]bool, ring.Ring.NumActions())
 	for i := range fair {
-		fair[i] = i%2 == 0 // alternate fair/unfair, exercising the mask path
+		fair[i] = i%2 == 0
 	}
-	if err := Check(ring.Ring, state.True, explore.Options{Fair: fair}, 2, runtime.NumCPU()); err != nil {
+	return ring.Ring, explore.Options{Fair: fair}
+}
+
+// TestEnginesAgreeUnderFairMask covers the p ‖ F shape: a program with its
+// fault actions marked unfair must explore identically in every in-RAM
+// cell. Fairness masks flow through assembly, not exploration, so every
+// graph must carry the identical mask.
+func TestEnginesAgreeUnderFairMask(t *testing.T) {
+	prog, opts := fairRing()
+	if err := CheckCells(anchor(t, prog, state.True, opts), prog, state.True, budgetCells(opts, false)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEnginesAgreeOnBoundError checks the engines also agree on the error
+// TestSpilledEngineAgreesUnderFairMask pins the p ‖ F shape on the spilled
+// cells: the spilled graph must carry the identical mask.
+func TestSpilledEngineAgreesUnderFairMask(t *testing.T) {
+	prog, opts := fairRing()
+	if err := CheckCells(anchor(t, prog, state.True, opts), prog, state.True, budgetCells(opts, true)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEnginesAgreeOnBoundError checks every cell also agrees on the error
 // side of the MaxStates contract, with and without kernel bytecode.
 func TestEnginesAgreeOnBoundError(t *testing.T) {
 	ring := tokenring.MustNew(4, 4)
 	for _, prog := range []*guarded.Program{ring.Ring, StripCompiled(ring.Ring)} {
-		opts := explore.Options{MaxStates: 17, Parallelism: 1}
-		if _, err := explore.Build(prog, state.True, opts); !errors.Is(err, explore.ErrStateBound) {
-			t.Fatalf("sequential engine must enforce the bound, got %v", err)
-		}
-		opts.Parallelism = runtime.NumCPU()
-		if _, err := explore.Build(prog, state.True, opts); !errors.Is(err, explore.ErrStateBound) {
-			t.Fatalf("parallel engine must enforce the bound, got %v", err)
+		for _, cell := range Cells(explore.Options{MaxStates: 17}) {
+			if _, err := explore.Build(prog, state.True, cell); !errors.Is(err, explore.ErrStateBound) {
+				t.Fatalf("%d workers, budget %d: want ErrStateBound, got %v", cell.Parallelism, cell.MemBudget, err)
+			}
 		}
 	}
 }
@@ -124,12 +143,11 @@ fault scramble :: true -> x := ?, y := ?
 `,
 }
 
-// TestEnginesAgreeOnGCL runs the full Check matrix — engines × kernel vs
-// closure adapter — over GCL-compiled programs, plain and fault-composed
-// (with the composition's fair mask marking faults unfair), and checks
-// MaxStates parity between the compiled and stripped variants.
+// TestEnginesAgreeOnGCL runs the full engine matrix over GCL-compiled
+// programs, plain and fault-composed (with the composition's fair mask
+// marking faults unfair), and checks MaxStates parity between the compiled
+// and stripped variants.
 func TestEnginesAgreeOnGCL(t *testing.T) {
-	workers := []int{2, runtime.NumCPU()}
 	for name, src := range gclSrcs {
 		f, err := gcl.ParseAndCompile(src)
 		if err != nil {
@@ -145,13 +163,14 @@ func TestEnginesAgreeOnGCL(t *testing.T) {
 		}
 		t.Run(name+"/plain", func(t *testing.T) {
 			t.Parallel()
-			if err := Check(f.Program, init, explore.Options{}, workers...); err != nil {
+			if err := Check(anchor(t, f.Program, init, explore.Options{}), f.Program, init, explore.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Run(name+"/composed", func(t *testing.T) {
 			t.Parallel()
-			if err := Check(composed, state.True, explore.Options{Fair: fair}, workers...); err != nil {
+			opts := explore.Options{Fair: fair}
+			if err := Check(anchor(t, composed, state.True, opts), composed, state.True, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -9,8 +9,8 @@ import (
 	"detcorr/internal/state"
 )
 
-// The sequential engine below assembles the Graph arenas in place; this
-// file is a sanctioned builder.
+// buildIn and newAdjacencyGraph below fill Graph arenas; this file is a
+// sanctioned builder.
 //
 //dc:mutates Graph
 
@@ -83,24 +83,23 @@ type Options struct {
 	// ErrStateBound if and only if the number of distinct reachable states
 	// exceeds MaxStates, and a failed Build records nothing.
 	MaxStates int
-	// Parallelism selects the exploration engine: 1 (or any negative
-	// value) runs the sequential engine, N > 1 expands the frontier with
-	// an N-worker pool, and 0 defers to the process-wide default (see
-	// SetDefaultParallelism; sequential unless raised). Both engines
-	// produce identical graphs: node ids are canonically renumbered by
-	// state index, so the result does not depend on worker count or
-	// schedule.
+	// Parallelism is the exploration's worker count: 1 (or any negative
+	// value) explores on the calling goroutine, N > 1 splits the visited
+	// set among N workers that each expand the states they own, and 0
+	// defers to the process-wide default (see SetDefaultParallelism; one
+	// worker unless raised). Node ids are canonically renumbered by state
+	// index, so the graph does not depend on worker count or schedule.
 	//
 	//dc:nokey graphs are canonical — byte-identical at any worker count
 	Parallelism int
-	// MemBudget selects the out-of-core engine: a positive byte budget
-	// bounds the exploration's resident set, spilling the visited set and
-	// the BFS frontier to disk past it (see DESIGN §3h). 0 defers to the
-	// process-wide default (SetDefaultSpill; off unless raised); negative
-	// forces the in-RAM engines even when a default is set. The budget
-	// covers the engine's working structures, not the CSR arenas of the
-	// returned graph — verdicts over super-RAM systems stream through Scan
-	// and FindDeadlock instead of Build.
+	// MemBudget is a ceiling on the exploration's working structures: a
+	// positive byte budget spills the visited set, the BFS frontiers and
+	// the outboxes to disk past it (see DESIGN §3h). 0 defers to the
+	// process-wide default (SetDefaultSpill; none unless raised); negative
+	// keeps everything in RAM even when a default is set. The budget does
+	// not cover the CSR arenas of the returned graph — verdicts over
+	// super-RAM systems stream through Scan and FindDeadlock instead of
+	// Build.
 	//
 	//dc:nokey graphs are canonical — byte-identical spilled or in-RAM
 	MemBudget int64
@@ -111,13 +110,6 @@ type Options struct {
 	//
 	//dc:nokey spill placement cannot change the built graph
 	SpillDir string
-	// Partitions is the visited-set partition count of the out-of-core
-	// engine; 0 means a default sized for wide worker pools. Partitions
-	// are assigned to workers by ownership, so the count also caps the
-	// effective spilled parallelism.
-	//
-	//dc:nokey graphs are canonical — byte-identical at any partition count
-	Partitions int
 }
 
 // ErrStateBound is returned when exploration exceeds Options.MaxStates.
@@ -130,8 +122,8 @@ var ErrStateBound = fmt.Errorf("explore: state bound exceeded")
 //
 // Node ids are canonical: they ascend with the states' mixed-radix indices
 // (state.State.Index), so the graph is identical — same states, ids, edges,
-// and in-lists — whichever engine built it and however its workers were
-// scheduled. See Options.Parallelism.
+// and in-lists — at any worker count, in RAM or spilled, however the
+// workers were scheduled. See Options.Parallelism.
 //
 // Successor generation runs on the compiled transition kernel
 // (guarded.Compile): GCL-compiled actions execute native bytecode, all
@@ -142,8 +134,8 @@ func Build(p *guarded.Program, init state.Predicate, opts Options) (*Graph, erro
 }
 
 // BuildCtx is Build under a context: cancellation aborts the exploration
-// with ctx.Err() instead of running the state space to completion. Both
-// engines poll the context at expansion granularity (every discovered state
+// with ctx.Err() instead of running the state space to completion. The
+// engine polls the context at expansion granularity (every discovered state
 // costs at least one kernel call, so an abandoned build stops within a few
 // hundred expansions), which keeps the zero-allocation hot path intact.
 // A cancelled build returns no graph and records nothing.
@@ -163,17 +155,12 @@ func BuildCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opt
 		return nil, fmt.Errorf("explore: fairness mask has %d entries for %d actions", len(fair), p.NumActions())
 	}
 	k := sharedKernel(p)
-	var (
-		exps []expansion
-		err  error
-	)
-	if cfg, ok := resolveSpill(opts.MemBudget, opts.SpillDir, opts.Partitions); ok {
-		exps, err = exploreSpill(ctx, k, init, opts.MaxStates, opts.workers(), cfg)
-	} else if w := opts.workers(); w > 1 {
-		exps, err = exploreParallel(ctx, k, init, opts.MaxStates, w)
-	} else {
-		exps, err = exploreSeq(ctx, k, init, opts.MaxStates)
+	st, err := openStore(opts.MemBudget, opts.SpillDir)
+	if err != nil {
+		return nil, err
 	}
+	exps, err := exploreBFS(ctx, k, init, opts.MaxStates, opts.workers(), st)
+	st.finish()
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +397,7 @@ func (g *Graph) PathBetween(from, goal *Bitset, within *Bitset) ([]state.State, 
 
 // csrFromLists converts adjacency lists into CSR offset/edge arrays. Tests
 // and edge filters use it; Build assembles its CSR directly from the
-// engines' flat arenas.
+// engine's flat arenas.
 func csrFromLists(out [][]Edge) ([]uint32, []Edge) {
 	n := len(out)
 	off := make([]uint32, n+1)

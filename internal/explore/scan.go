@@ -30,16 +30,16 @@ type ScanOptions struct {
 	// immediate transitions reported, but targets are not expanded. This is
 	// the shape of closure checks — one pass, O(1) memory.
 	InitOnly bool
-	// MemBudget, SpillDir, and Partitions select the out-of-core path,
-	// exactly as in Options: a positive budget bounds the scan's resident
-	// set by spilling the visited set and the FIFO frontier to disk, 0
-	// defers to SetDefaultSpill, negative forces in-RAM. The spilled scan
-	// visits states in the identical FIFO order, so verdicts and witnesses
-	// are unchanged. Because a scan never assembles a graph, the budget
-	// bounds the whole verdict — this is the path for super-RAM systems.
-	MemBudget  int64
-	SpillDir   string
-	Partitions int
+	// MemBudget and SpillDir mean what they mean in Options: a positive
+	// budget is a ceiling on the scan's resident set, spilling the visited
+	// set, the FIFO frontier and FindDeadlock's parent log to disk past
+	// it; 0 defers to SetDefaultSpill; negative keeps everything in RAM.
+	// The scan is the same code either way and visits states in the same
+	// FIFO order, so verdicts and witnesses are unchanged. Because a scan
+	// never assembles a graph, the budget bounds the whole verdict — this
+	// is the path for super-RAM systems.
+	MemBudget int64
+	SpillDir  string
 }
 
 // ScanStats summarizes a scan.
@@ -78,17 +78,26 @@ func Scan(p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner)
 
 // ScanCtx is Scan under a context: cancellation stops the sweep with
 // ctx.Err() (not a Stopped stat — the scan did not run to a verdict). The
-// context is polled once per visited state, the same granularity as the
-// engines behind BuildCtx.
+// context is polled every cancelPollMask+1 seeded or visited states, the
+// same granularity as the engine behind BuildCtx.
 func ScanCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner) (ScanStats, error) {
-	return scan(ctx, p, init, opts, v, nil)
+	st := &bfsStore{} // an InitOnly scan keeps no visited set or frontier
+	if !opts.InitOnly {
+		var err error
+		if st, err = openStore(opts.MemBudget, opts.SpillDir); err != nil {
+			return ScanStats{}, err
+		}
+		defer st.finish()
+	}
+	return scan(ctx, st, p, init, opts, v, nil)
 }
 
-// scan is ScanCtx with a parent hook: when onFresh is set, it runs with the
-// indices of every freshly discovered state and the state whose transition
-// discovered it, before the Edge visitor. A hook that only needs indices
-// spares the scan decoding each successor; its error aborts the scan.
-func scan(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner, onFresh func(to, from uint64) error) (ScanStats, error) {
+// scan is ScanCtx on an open store, with a parent hook: when onFresh is
+// set, it runs with the indices of every freshly discovered state and the
+// state whose transition discovered it, before the Edge visitor. A hook
+// that only needs indices spares the scan decoding each successor; its
+// error aborts the scan.
+func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner, onFresh func(to, from uint64) error) (ScanStats, error) {
 	var stats ScanStats
 	if err := p.Schema().Indexable(); err != nil {
 		return stats, err
@@ -191,69 +200,35 @@ func scan(ctx context.Context, p *guarded.Program, init state.Predicate, opts Sc
 		return stats, scanErr
 	}
 
-	// The FIFO frontier and visited set come in two shapes: in-RAM (a slice
-	// and the engines' visitedSet) or disk-spilled under a memory budget.
-	// Both preserve the exact same discovery order, so everything above —
-	// visitors, witnesses, verdicts — is oblivious to the choice.
+	// The visited set and the FIFO frontier come from the store: in RAM, or
+	// spilled under a memory budget. Both keep the exact same discovery
+	// order, so everything above — visitors, witnesses, verdicts — is
+	// oblivious to the choice.
+	visited := st.ownedClaims(newSpillPartitioner(total, defaultSpillPartitions), 1, total)[0]
+	frontier := st.newFrontier(int(st.budget / 4))
+	defer frontier.close()
 	discovered := 0
-	var (
-		claim func(to uint64) (bool, error)
-		next  func() (uint64, bool, error)
-	)
-	if cfg, ok := resolveSpill(opts.MemBudget, opts.SpillDir, opts.Partitions); ok {
-		run, err := newSpillRun(cfg)
-		if err != nil {
-			return stats, err
+	claim := func(to uint64) (bool, error) {
+		fresh, err := visited(to)
+		if err != nil || !fresh {
+			return false, err
 		}
-		defer run.finish()
-		visited := run.newVisited(total)
-		frontier := newSpillFrontier(run.dir, int(cfg.budget/4))
-		defer frontier.close()
-		claim = func(to uint64) (bool, error) {
-			fresh, err := visited.claim(to)
-			if err != nil || !fresh {
-				return false, err
-			}
-			if opts.MaxStates > 0 && discovered >= opts.MaxStates {
-				return false, boundError(opts.MaxStates)
-			}
-			discovered++
-			return true, frontier.push(to)
+		if opts.MaxStates > 0 && discovered >= opts.MaxStates {
+			return false, boundError(opts.MaxStates)
 		}
-		next = frontier.pop
-	} else {
-		visited := newVisitedSet(total)
-		var queue []uint64
-		head := 0
-		claim = func(to uint64) (bool, error) {
-			if !visited.claim(to) {
-				return false, nil
-			}
-			if opts.MaxStates > 0 && discovered >= opts.MaxStates {
-				return false, boundError(opts.MaxStates)
-			}
-			discovered++
-			queue = append(queue, to)
-			return true, nil
-		}
-		next = func() (uint64, bool, error) {
-			if head >= len(queue) {
-				return 0, false, nil
-			}
-			idx := queue[head]
-			head++
-			return idx, true, nil
-		}
+		discovered++
+		return true, frontier.push(to)
 	}
 	var seedErr error
 	seedTick := 0
 	scanInit(sch, init, 0, total, rowF, func(idx uint64) bool {
-		if seedTick++; seedTick&cancelPollMask == 0 {
+		if seedTick&cancelPollMask == 0 {
 			if err := ctx.Err(); err != nil {
 				seedErr = err
 				return false
 			}
 		}
+		seedTick++
 		if _, err := claim(idx); err != nil {
 			seedErr = err
 			return false
@@ -264,7 +239,7 @@ func scan(ctx context.Context, p *guarded.Program, init state.Predicate, opts Sc
 		return stats, seedErr
 	}
 	for {
-		idx, ok, err := next()
+		idx, ok, err := frontier.pop()
 		if err != nil {
 			return stats, err
 		}
@@ -294,11 +269,11 @@ func FindDeadlock(p *guarded.Program, init state.Predicate, opts ScanOptions) ([
 }
 
 // FindDeadlockCtx is FindDeadlock under a context; cancellation aborts the
-// streaming hunt with ctx.Err(). Under a memory budget the BFS parent map
-// — the last O(states) structure of the hunt — is replaced by an on-disk
-// parent log, and the witness chain is reconstructed by a single reverse
-// scan of the log (a parent is always recorded before its children, so one
-// backward pass suffices).
+// streaming hunt with ctx.Err(). The hunt records the BFS tree on a parent
+// log — in RAM, or under a memory budget on disk, since it is the last
+// O(states) structure of the hunt — and reconstructs the witness chain by a
+// single reverse scan of the log (a parent is always recorded before its
+// children, so one backward pass suffices).
 func FindDeadlockCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions) ([]state.State, bool, error) {
 	opts.InitOnly = false
 	sch := p.Schema()
@@ -310,49 +285,24 @@ func FindDeadlockCtx(ctx context.Context, p *guarded.Program, init state.Predica
 		return false
 	}
 
-	if cfg, ok := resolveSpill(opts.MemBudget, opts.SpillDir, opts.Partitions); ok {
-		run, err := newSpillRun(cfg)
-		if err != nil {
-			return nil, false, err
-		}
-		defer run.finish()
-		log := newParentLog(run.dir, int(cfg.budget/4))
-		defer log.close()
-		_, err = scan(ctx, p, init, opts, Scanner{Deadlock: deadlock}, log.record)
-		if err != nil || !found {
-			return nil, false, err
-		}
-		chain, err := log.chain(deadIdx)
-		if err != nil {
-			return nil, false, err
-		}
-		states := make([]state.State, len(chain))
-		for i, idx := range chain {
-			states[i] = sch.StateAt(idx)
-		}
-		return states, true, nil
+	st, err := openStore(opts.MemBudget, opts.SpillDir)
+	if err != nil {
+		return nil, false, err
 	}
-
-	parent := map[uint64]uint64{}
-	_, err := scan(ctx, p, init, opts, Scanner{Deadlock: deadlock}, func(to, from uint64) error {
-		parent[to] = from
-		return nil
-	})
+	defer st.finish()
+	log := st.newParentLog(int(st.budget / 4))
+	defer log.close()
+	_, err = scan(ctx, st, p, init, opts, Scanner{Deadlock: deadlock}, log.record)
 	if err != nil || !found {
 		return nil, false, err
 	}
-	var rev []state.State
-	idx := deadIdx
-	for {
-		rev = append(rev, sch.StateAt(idx))
-		p, ok := parent[idx]
-		if !ok {
-			break
-		}
-		idx = p
+	chain, err := log.chain(deadIdx)
+	if err != nil {
+		return nil, false, err
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	states := make([]state.State, len(chain))
+	for i, idx := range chain {
+		states[i] = sch.StateAt(idx)
 	}
-	return rev, true, nil
+	return states, true, nil
 }

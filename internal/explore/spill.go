@@ -1,26 +1,22 @@
 package explore
 
-// The out-of-core exploration engine ("Beyond RAM", ROADMAP item 2). The
-// in-RAM engines cap near ~10^7 states because three structures grow with
-// the state space: the visited set, the BFS frontier, and (for Build) the
-// CSR arenas. This engine removes the first two from RAM:
+// Exploration under a memory budget ("Beyond RAM"). Without a budget an
+// exploration holds three structures that grow with the state space: the
+// visited set, the BFS frontier, and (for Build) the CSR arenas. Under a
+// budget the exploration's store (store.go) moves the first two out of RAM:
 //
 //   - the visited set is partitioned by state index (spillvisited.go): a
 //     dense bitset front when it fits the budget, Bloom-fronted sorted shard
 //     files when it does not;
 //   - the frontier is double-buffered to framed, CRC-checked run files
-//     (spillfile.go) whenever a level outgrows its in-RAM buffer;
-//   - in the partitioned build engine below, each worker exclusively owns a
-//     slice of the partitions and successors are routed to their owner
-//     through spillable outboxes — ownership replaces the shared visited
-//     set, so the hot claim path has no atomics and no lock contention.
+//     (spillfile.go) whenever a level outgrows its in-RAM buffer, and so are
+//     the engine's outboxes and FindDeadlock's parent log.
 //
-// Determinism is preserved end to end: the engine discovers exactly the
-// states and transitions the sequential engine does, and assemble()'s
-// canonical renumbering (node ids ascend with state index) makes the
-// resulting Graph byte-identical to the in-RAM engines' at any worker or
-// partition count. The streaming Scan path (scan.go) keeps the in-RAM
-// scanner's exact FIFO visitation order, so witnesses coincide too.
+// The engine (exploreBFS) and the streaming scan are the same code in RAM
+// and under a budget; only the store differs. The spilled frontier keeps
+// the in-RAM frontier's exact FIFO order, so Scan's visit order and
+// witnesses coincide, and assemble()'s canonical renumbering (node ids
+// ascend with state index) makes a Graph byte-identical either way.
 //
 // The CSR arenas of a Build still materialize in RAM — a Graph is an in-RAM
 // artifact. Verdicts over super-RAM systems therefore go through Scan and
@@ -29,21 +25,17 @@ package explore
 // buffers, and the budget holds regardless of state count.
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"detcorr/internal/guarded"
-	"detcorr/internal/state"
 )
 
 // Process-wide spill counters (see SpillCounters). All are monotone;
-// instance-local tallies are folded in when an engine run finishes, so the
-// hot claim path pays no atomic per state.
+// instance-local tallies are folded in when a spilled exploration finishes,
+// so the hot claim path pays no atomic per state. Explorations in RAM leave
+// them untouched.
 var (
 	spillFrontierRuns atomic.Int64
 	spillBytes        atomic.Int64
@@ -53,7 +45,7 @@ var (
 	spillShardMerges  atomic.Int64
 )
 
-// SpillStats is a snapshot of the out-of-core engine's counters.
+// SpillStats is a snapshot of the spilled explorations' counters.
 type SpillStats struct {
 	FrontierRuns int64 // framed chunks flushed to spill files
 	BytesSpilled int64 // bytes written to spill files (frontier runs, shards, parent logs)
@@ -109,8 +101,8 @@ var (
 
 // SetDefaultSpill sets the process-wide default memory budget (bytes) and
 // spill directory used when Options.MemBudget is zero, returning the
-// previous values so callers can restore them. A budget of 0 restores the
-// in-RAM engines as the default; dir "" means the OS temp directory.
+// previous values so callers can restore them. A budget of 0 restores
+// in-RAM exploration as the default; dir "" means the OS temp directory.
 func SetDefaultSpill(budget int64, dir string) (int64, string) {
 	defaultSpillMu.Lock()
 	defer defaultSpillMu.Unlock()
@@ -150,18 +142,11 @@ func ParseByteSize(s string) (int64, error) {
 	return v * mult, nil
 }
 
-// spillConfig is a resolved spill request: a positive byte budget, a parent
-// directory for run and shard files, and a partition count.
-type spillConfig struct {
-	budget int64
-	dir    string
-	parts  int
-}
-
-// resolveSpill merges explicit fields with the process defaults. memBudget
-// > 0 selects the out-of-core engine; < 0 forces the in-RAM engines even
-// when a process default is set; 0 defers to the default.
-func resolveSpill(memBudget int64, dir string, parts int) (spillConfig, bool) {
+// resolveSpill merges explicit fields with the process defaults into the
+// budget and spill directory an exploration runs under. memBudget > 0 asks
+// for a spilled exploration; < 0 keeps it in RAM even when a process
+// default is set; 0 defers to the default. A zero result budget means RAM.
+func resolveSpill(memBudget int64, dir string) (int64, string) {
 	if memBudget == 0 {
 		db, dd := DefaultSpill()
 		memBudget = db
@@ -170,392 +155,18 @@ func resolveSpill(memBudget int64, dir string, parts int) (spillConfig, bool) {
 		}
 	}
 	if memBudget <= 0 {
-		return spillConfig{}, false
+		return 0, ""
 	}
-	if memBudget < spillMinBudget {
-		memBudget = spillMinBudget
-	}
-	if parts <= 0 {
-		parts = defaultSpillPartitions
-	}
-	return spillConfig{budget: memBudget, dir: dir, parts: parts}, true
+	return max(memBudget, spillMinBudget), dir
 }
 
-// defaultSpillPartitions is the visited-set partition count when
-// Options.Partitions is zero: enough slices to feed a wide worker pool and
-// keep individual shard files moderate, few enough that per-partition Bloom
-// fronts stay usefully large.
+// defaultSpillPartitions is the visited-set partition count: enough slices
+// to feed a wide worker pool and keep individual shard files moderate, few
+// enough that per-partition Bloom fronts stay usefully large. Partitions
+// are assigned to workers by ownership, so the count also caps the worker
+// count.
 const defaultSpillPartitions = 64
 
 // spillMinBudget floors the effective budget so the structure arithmetic
 // (Bloom sizes, buffer splits) stays sane; budgets below it behave like it.
 const spillMinBudget = 1 << 16
-
-// spillRun is the per-exploration spill context: a private scratch
-// directory plus the finishers that fold instance counters into the
-// process-wide totals. finish (idempotent) runs the finishers and removes
-// the directory with every run and shard file in it.
-type spillRun struct {
-	cfg       spillConfig
-	dir       string
-	finishers []func()
-}
-
-func newSpillRun(cfg spillConfig) (*spillRun, error) {
-	parent := cfg.dir
-	if parent == "" {
-		parent = os.TempDir()
-	} else if err := os.MkdirAll(parent, 0o777); err != nil {
-		return nil, fmt.Errorf("explore: spill dir: %w", err)
-	}
-	dir, err := os.MkdirTemp(parent, "dcspill-")
-	if err != nil {
-		return nil, fmt.Errorf("explore: spill dir: %w", err)
-	}
-	return &spillRun{cfg: cfg, dir: dir}, nil
-}
-
-func (r *spillRun) finish() {
-	for _, f := range r.finishers {
-		f()
-	}
-	r.finishers = nil
-	if r.dir != "" {
-		os.RemoveAll(r.dir)
-		r.dir = ""
-	}
-}
-
-// visitedShare is the portion of the budget reserved for the visited set;
-// the rest buffers the frontier runs and outboxes.
-func (r *spillRun) visitedShare() int64 { return r.cfg.budget / 2 }
-
-// newVisited builds the single-owner visited set for a sequential spilled
-// exploration: dense when the whole bitset fits the visited share, sharded
-// otherwise. Its counters are folded in at finish.
-func (r *spillRun) newVisited(total uint64) spillVisited {
-	var v spillVisited
-	if denseBytes := int64((total + 7) / 8); denseBytes <= r.visitedShare() {
-		v = &denseSpillVisited{words: make([]uint64, (total+63)/64)}
-	} else {
-		v = newShardedVisited(r.dir, newSpillPartitioner(total, r.cfg.parts), r.visitedShare())
-	}
-	r.finishers = append(r.finishers, v.finish)
-	return v
-}
-
-// exploreSpill is the out-of-core build engine: a round-synchronous BFS in
-// which worker w exclusively owns every partition p with p mod W == w — its
-// slice of the visited set, its own disk-backed frontier, and the expansion
-// arena of every state it claims. Successors that land in a foreign
-// partition are routed through per-(sender,receiver) outboxes and claimed
-// by their owner after a barrier; successors that land in an owned
-// partition are claimed immediately and expanded in the same round. No
-// visited word is ever touched by two workers (partitions are 64-aligned
-// blocks), so claims are plain loads and stores — the shared-visited
-// contention that makes the in-RAM parallel engine regress on small
-// machines does not exist here.
-//
-// The discovered state and transition sets are schedule-independent (the
-// kernel is a pure function of the index and every state is expanded
-// exactly once, by its owner), so after assemble()'s canonical renumbering
-// the Graph is byte-identical to the sequential engine's.
-func exploreSpill(ctx context.Context, k *guarded.Kernel, init state.Predicate, maxStates, workers int, cfg spillConfig) ([]expansion, error) {
-	sch := k.Schema()
-	total, _ := sch.NumStates()
-	run, err := newSpillRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer run.finish()
-
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > cfg.parts {
-		workers = cfg.parts
-	}
-	pt := newSpillPartitioner(total, cfg.parts)
-	claims := makeOwnedClaims(run, pt, workers, total)
-
-	var (
-		count     atomic.Int64
-		exceeded  atomic.Bool
-		cancelled atomic.Bool
-		errOnce   sync.Once
-		firstErr  error
-	)
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				cancelled.Store(true)
-			case <-stop:
-			}
-		}()
-	}
-	// fail records the first I/O error and aborts the pool through the same
-	// flag cancellation uses; workers wind down within a poll interval.
-	fail := func(err error) {
-		if err == nil {
-			return
-		}
-		errOnce.Do(func() { firstErr = err })
-		cancelled.Store(true)
-	}
-
-	wbudget := run.cfg.budget / 4 / int64(workers)
-	frontBuf := int(wbudget / 2) // two run-file sides per frontier
-	obBuf := int(run.cfg.budget / 4 / int64(workers*workers))
-	frontiers := make([]*spillFrontier, workers)
-	outboxes := make([][]*spillOutbox, workers) // [sender][receiver]
-	for w := 0; w < workers; w++ {
-		frontiers[w] = newSpillFrontier(run.dir, frontBuf)
-		outboxes[w] = make([]*spillOutbox, workers)
-		for o := 0; o < workers; o++ {
-			outboxes[w][o] = newSpillOutbox(run.dir, obBuf)
-		}
-	}
-	defer func() {
-		for w := 0; w < workers; w++ {
-			frontiers[w].close()
-			for o := 0; o < workers; o++ {
-				outboxes[w][o].w.remove()
-			}
-		}
-	}()
-
-	owner := func(idx uint64) int { return pt.part(idx) % workers }
-	// claim dedups idx on its owner's visited slice (the caller must be the
-	// owner) and enqueues fresh states, enforcing the exact MaxStates bound.
-	claim := func(w int, idx uint64) error {
-		fresh, err := claims[w](idx)
-		if err != nil || !fresh {
-			return err
-		}
-		if maxStates > 0 && count.Add(1) > int64(maxStates) {
-			exceeded.Store(true)
-			return nil
-		}
-		return frontiers[w].push(idx)
-	}
-
-	// Phase 1: each worker scans its own partitions' index blocks for
-	// initial states — ownership makes routing unnecessary here.
-	{
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				row := make([]int32, sch.NumVars())
-				tick := 0
-				for lo := uint64(0); lo < total; lo += pt.block {
-					if pt.part(lo)%workers != w {
-						continue
-					}
-					hi := lo + pt.block
-					if hi > total {
-						hi = total
-					}
-					scanInit(sch, init, lo, hi, row, func(idx uint64) bool {
-						if tick++; tick&cancelPollMask == 0 && (cancelled.Load() || exceeded.Load()) {
-							return false
-						}
-						fail(claim(w, idx))
-						return !cancelled.Load()
-					})
-					if cancelled.Load() {
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	// Phase 2: round-synchronous expansion with ownership routing. Each
-	// round: (a) every worker drains its own frontier to empty, expanding on
-	// its kernel scratch, claiming owned successors directly (they extend
-	// the same drain) and routing foreign ones to the owner's outbox;
-	// (b) barrier; (c) every owner drains its inboxes, claiming and
-	// enqueueing for the next round. The barrier is what lets step (c) run
-	// without locks: all sends into a round's outboxes happen before any
-	// owner reads them, and the fresh outboxes installed in (c) are
-	// published to the senders by the next barrier.
-	perWorker := make([]expansion, workers)
-	scratches := make([]*guarded.Scratch, workers)
-	for w := range scratches {
-		scratches[w] = k.NewScratch()
-	}
-	pending := int64(1) // force the first round
-	for pending > 0 && !cancelled.Load() && !exceeded.Load() {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ex := &perWorker[w]
-				sc := scratches[w]
-				steps := 0
-				for {
-					if steps&cancelPollMask == 0 && (cancelled.Load() || exceeded.Load()) {
-						return
-					}
-					steps++
-					idx, ok, err := frontiers[w].pop()
-					if err != nil {
-						fail(err)
-						return
-					}
-					if !ok {
-						return
-					}
-					off := len(ex.edges)
-					ex.edges = sc.Transitions(idx, ex.edges)
-					for _, tr := range ex.edges[off:] {
-						if o := owner(tr.To); o == w {
-							if err := claim(w, tr.To); err != nil {
-								fail(err)
-								return
-							}
-						} else if err := outboxes[w][o].push(tr.To); err != nil {
-							fail(err)
-							return
-						}
-					}
-					ex.nodes = append(ex.nodes, rawNode{idx: idx, off: off, n: int32(len(ex.edges) - off)})
-				}
-			}(w)
-		}
-		wg.Wait()
-		if cancelled.Load() || exceeded.Load() {
-			break
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				steps := 0
-				for s := 0; s < workers; s++ {
-					ob := outboxes[s][w]
-					r, err := ob.w.reader()
-					if err != nil {
-						fail(err)
-						return
-					}
-					for {
-						if steps&cancelPollMask == 0 && cancelled.Load() {
-							return
-						}
-						steps++
-						rec, ok, err := r.next()
-						if err != nil {
-							fail(err)
-							return
-						}
-						if !ok {
-							break
-						}
-						if err := claim(w, leUint64(rec)); err != nil {
-							fail(err)
-							return
-						}
-					}
-					ob.w.remove()
-					outboxes[s][w] = newSpillOutbox(run.dir, obBuf)
-				}
-			}(w)
-		}
-		wg.Wait()
-		pending = 0
-		for w := 0; w < workers; w++ {
-			pending += frontiers[w].pending
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if cancelled.Load() {
-		return nil, ctx.Err()
-	}
-	if exceeded.Load() {
-		return nil, boundError(maxStates)
-	}
-	return perWorker, nil
-}
-
-// spillOutbox buffers successor indices routed from one worker to the owner
-// of their partition, spilling to a run file past its share of the budget.
-// One outbox exists per (sender, receiver) pair, so senders never contend.
-type spillOutbox struct {
-	w   *runWriter
-	rec [8]byte
-}
-
-func newSpillOutbox(dir string, bufBytes int) *spillOutbox {
-	return &spillOutbox{w: newRunWriter(dir, "outbox", 8, bufBytes)}
-}
-
-func (o *spillOutbox) push(idx uint64) error {
-	putUint64(&o.rec, idx)
-	return o.w.push(o.rec[:])
-}
-
-//dc:zeroalloc
-func putUint64(dst *[8]byte, v uint64) {
-	dst[0] = byte(v)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v >> 16)
-	dst[3] = byte(v >> 24)
-	dst[4] = byte(v >> 32)
-	dst[5] = byte(v >> 40)
-	dst[6] = byte(v >> 48)
-	dst[7] = byte(v >> 56)
-}
-
-//dc:zeroalloc
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// makeOwnedClaims builds the per-worker claim functions of the partitioned
-// engine. In the dense mode the bitset storage is shared, but a worker only
-// ever touches the 64-aligned words of its own partitions, so plain bit
-// operations are race-free; in the sharded mode each worker gets its own
-// instance whose Bloom fronts and shard files materialize lazily for just
-// the partitions it claims into. Both register their counter folds on the
-// run.
-func makeOwnedClaims(run *spillRun, pt spillPartitioner, workers int, total uint64) []func(uint64) (bool, error) {
-	claims := make([]func(uint64) (bool, error), workers)
-	if denseBytes := int64((total + 7) / 8); denseBytes <= run.visitedShare() {
-		words := make([]uint64, (total+63)/64)
-		for w := 0; w < workers; w++ {
-			hits := new(int64)
-			claims[w] = func(idx uint64) (bool, error) {
-				*hits++
-				word := &words[idx>>6]
-				bit := uint64(1) << (idx & 63)
-				if *word&bit != 0 {
-					return false, nil
-				}
-				*word |= bit
-				return true, nil
-			}
-			run.finishers = append(run.finishers, func() { spillFrontHits.Add(*hits) })
-		}
-		return claims
-	}
-	// Each instance is sized for the full visited share but only its owned
-	// partitions (1/workers of them) allocate, so the shares add up to the
-	// budget's visited half across the pool.
-	for w := 0; w < workers; w++ {
-		inst := newShardedVisited(run.dir, pt, run.visitedShare())
-		claims[w] = inst.claim
-		run.finishers = append(run.finishers, inst.finish)
-	}
-	return claims
-}

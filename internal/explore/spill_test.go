@@ -59,7 +59,7 @@ func TestRunWriterReaderRoundtrip(t *testing.T) {
 
 func TestSpillFrontierFIFO(t *testing.T) {
 	// A tiny buffer forces every level onto disk; the pop order must still be
-	// the exact global push order (the in-RAM engines' FIFO contract).
+	// the exact global push order (the in-RAM frontier's FIFO contract).
 	f := newSpillFrontier(t.TempDir(), 1) // floors to spillMinBufRecords records
 	defer f.close()
 	var want []uint64
@@ -254,7 +254,7 @@ func TestDensePartitionWordAlignment(t *testing.T) {
 
 // --- engine equivalence through the public API ------------------------------
 
-// spillGraphEqual asserts two graphs built by different engines are
+// spillGraphEqual asserts two graphs built in RAM and spilled are
 // byte-identical in every observable dimension (the difftest package holds
 // the cross-package suite; this in-package copy avoids an import cycle).
 func spillGraphEqual(t *testing.T, ref, g *Graph) {
@@ -289,10 +289,9 @@ func TestBuildSpilledMatchesInRAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []Options{
-		{MemBudget: spillMinBudget},                                // dense visited, spilling frontier
-		{MemBudget: spillMinBudget, Parallelism: 3},                // partition-owned workers
-		{MemBudget: spillMinBudget, Parallelism: 3, Partitions: 5}, // parts not divisible by workers
-		{MemBudget: 1 << 24},                                       // everything under budget: no disk
+		{MemBudget: spillMinBudget},                 // dense visited, spilling frontier
+		{MemBudget: spillMinBudget, Parallelism: 3}, // 64 partitions over 3 workers
+		{MemBudget: 1 << 24},                        // everything under budget: no disk
 	} {
 		tc.SpillDir = t.TempDir()
 		g, err := Build(p, state.True, tc)
@@ -502,13 +501,41 @@ func TestDefaultSpill(t *testing.T) {
 	if c := SpillCounters(); c.FrontierRuns == 0 {
 		t.Errorf("default budget must engage the spill path, got %+v", c)
 	}
-	// …while a negative budget forces the in-RAM engines despite it.
+	// …while a negative budget keeps the scan in RAM despite it.
 	ResetSpillCounters()
 	if _, err := Scan(p, state.True, ScanOptions{MemBudget: -1}, Scanner{}); err != nil {
 		t.Fatal(err)
 	}
 	if c := SpillCounters(); c.FrontierRuns != 0 {
 		t.Errorf("MemBudget<0 must stay in RAM, got %+v", c)
+	}
+}
+
+// TestInRAMExplorationNeverSpills pins the in-RAM store: with no budget,
+// Build (at one and two workers), Scan and FindDeadlock create no spill
+// directory and leave the spill counters untouched.
+func TestInRAMExplorationNeverSpills(t *testing.T) {
+	pb, pd := SetDefaultSpill(0, "")
+	defer SetDefaultSpill(pb, pd)
+	dir := t.TempDir()
+	p := counter(t, 5000, inc(5000))
+	ResetSpillCounters()
+	for _, w := range []int{1, 2} {
+		if _, err := Build(p, state.True, Options{Parallelism: w, SpillDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Scan(p, state.True, ScanOptions{SpillDir: dir}, Scanner{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, found, err := FindDeadlock(p, state.True, ScanOptions{SpillDir: dir}); err != nil || !found {
+		t.Fatalf("FindDeadlock: found=%v err=%v", found, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("in-RAM exploration touched the spill dir: %d entries, err %v", len(ents), err)
+	}
+	if c := SpillCounters(); c != (SpillStats{}) {
+		t.Fatalf("in-RAM exploration moved the spill counters: %+v", c)
 	}
 }
 

@@ -1,7 +1,8 @@
 package explore
 
-// Spill files: the on-disk building blocks of the out-of-core engine. Both
-// the BFS frontier and the sharded visited set serialize fixed-width records
+// Spill files: the on-disk building blocks of a spilled exploration. The BFS
+// frontier, the outboxes, the parent log and the sharded visited set all
+// serialize fixed-width records
 // (8-byte little-endian state indices, 16-byte parent pairs) into append-only
 // run files, written and read strictly sequentially. Every flush emits one
 // self-describing chunk — magic, record count, CRC-32 of the payload — so a
@@ -9,8 +10,8 @@ package explore
 // ErrSpillCorrupt instead of a silently wrong verdict. The frontier is
 // double-buffered: the level being consumed streams from its finished run
 // file while the next level appends to a fresh one, which is what bounds the
-// engine's resident bytes to the two in-RAM chunk buffers regardless of how
-// wide a BFS level grows.
+// frontier's resident bytes to the two in-RAM chunk buffers regardless of
+// how wide a BFS level grows.
 
 import (
 	"bufio"
@@ -43,13 +44,15 @@ var testCorruptFlush func(payload []byte)
 // runWriter appends fixed-width records to a spill run file through an
 // in-RAM buffer of cap(buf) bytes, flushing one framed chunk whenever the
 // buffer fills. The file is created lazily — a run that stays under the
-// buffer never touches disk.
+// buffer never touches disk. A grow writer never flushes: its buffer grows
+// instead, which is how an in-RAM exploration keeps a run.
 type runWriter struct {
 	dir     string
 	name    string // file-name prefix for diagnostics
 	f       *os.File
 	buf     []byte // cap = flush threshold in bytes (multiple of recSize)
 	recSize int
+	grow    bool
 	records int64 // records pushed, RAM and disk combined
 	header  [spillHeaderSize]byte
 }
@@ -70,7 +73,7 @@ const spillMinBufRecords = 64
 // push appends one record (rec must be exactly recSize bytes), flushing a
 // chunk when the buffer is full.
 func (w *runWriter) push(rec []byte) error {
-	if len(w.buf)+w.recSize > cap(w.buf) {
+	if !w.grow && len(w.buf)+w.recSize > cap(w.buf) {
 		if err := w.flush(); err != nil {
 			return err
 		}
@@ -133,6 +136,13 @@ func (w *runWriter) remove() {
 	w.f.Close()
 	w.f = nil
 	os.Remove(path)
+}
+
+// reset removes the run file and empties the writer for reuse.
+func (w *runWriter) reset() {
+	w.remove()
+	w.buf = w.buf[:0]
+	w.records = 0
 }
 
 // runReader streams the records of a finished runWriter back in write order:
@@ -234,22 +244,20 @@ type frontierSide struct {
 	r *runReader
 }
 
-// spillFrontier is the disk-backed FIFO frontier of the out-of-core BFS.
+// spillFrontier is the disk-backed FIFO frontier of a spilled exploration.
 // Exactly two runs exist at a time: the level being consumed (read side)
 // and the level being discovered (write side). Swap order preserves the
-// in-RAM engine's FIFO discovery order exactly: every record of level k is
-// popped, in push order, before any record of level k+1.
+// in-RAM frontier's FIFO discovery order exactly: every record of level k
+// is popped, in push order, before any record of level k+1.
 type spillFrontier struct {
-	dir      string
-	bufBytes int
-	read     frontierSide
-	write    frontierSide
-	rec      [8]byte
-	pending  int64 // records pushed and not yet popped
+	read    frontierSide
+	write   frontierSide
+	rec     [8]byte
+	pending int64 // records pushed and not yet popped
 }
 
 func newSpillFrontier(dir string, bufBytes int) *spillFrontier {
-	f := &spillFrontier{dir: dir, bufBytes: bufBytes}
+	f := &spillFrontier{}
 	f.read.w = newRunWriter(dir, "frontier", 8, bufBytes)
 	f.write.w = newRunWriter(dir, "frontier", 8, bufBytes)
 	return f
@@ -279,8 +287,7 @@ func (f *spillFrontier) pop() (idx uint64, ok bool, err error) {
 				return binary.LittleEndian.Uint64(rec), true, nil
 			}
 			// Level consumed: recycle its run file.
-			f.read.w.remove()
-			f.read.w = newRunWriter(f.dir, "frontier", 8, f.bufBytes)
+			f.read.w.reset()
 			f.read.r = nil
 		}
 		if f.pending == 0 {
@@ -296,18 +303,20 @@ func (f *spillFrontier) pop() (idx uint64, ok bool, err error) {
 	}
 }
 
+func (f *spillFrontier) queued() int64 { return f.pending }
+
 // close releases and deletes both runs.
 func (f *spillFrontier) close() {
 	f.read.w.remove()
 	f.write.w.remove()
 }
 
-// parentLog records the BFS tree of a spilled deadlock hunt on disk: one
-// (child, parent) index pair per freshly discovered state, appended in
-// discovery order. Because every child is discovered strictly after its
-// parent, reading the log backwards reconstructs any root-to-witness chain
-// in a single reverse pass with O(chunk) memory — the out-of-core stand-in
-// for the in-RAM engine's parent map.
+// parentLog records the BFS tree of a deadlock hunt: one (child, parent)
+// index pair per freshly discovered state, appended in discovery order.
+// Because every child is discovered strictly after its parent, reading the
+// log backwards reconstructs any root-to-witness chain in a single reverse
+// pass. In RAM the log is one growing buffer; spilled, it is a run file read
+// back with O(chunk) memory.
 type parentLog struct {
 	w   *runWriter
 	rec [16]byte

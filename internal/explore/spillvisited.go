@@ -1,7 +1,8 @@
 package explore
 
-// The out-of-core visited set. States are deduplicated by mixed-radix index
-// through one of two representations picked from the memory budget:
+// The visited set of a spilled exploration. States are deduplicated by
+// mixed-radix index through one of two representations picked from the
+// memory budget (bfsStore.ownedClaims):
 //
 //   - dense: a flat bitset over the whole index space, used whenever
 //     total/8 bytes fit the budget's visited share. Claims never touch disk.
@@ -13,11 +14,10 @@ package explore
 //     most claims in a BFS are first encounters — never touches disk;
 //     only Bloom false positives and genuine revisits pay a probe.
 //
-// Both forms are single-owner: the sequential scan owns the whole set, the
-// partitioned build engine gives each worker exclusive ownership of its
-// partitions (blocks are 64-aligned, so dense claims by different owners
-// never share a word). No atomics, no locks — ownership is the
-// synchronization.
+// Both forms are single-owner: a scan owns the whole set, and the build
+// engine gives each worker exclusive ownership of its partitions (blocks
+// are 64-aligned, so dense claims by different owners never share a word).
+// No atomics, no locks — ownership is the synchronization.
 
 import (
 	"bufio"
@@ -56,40 +56,6 @@ func (p spillPartitioner) part(idx uint64) int {
 	return int(idx / p.block % uint64(p.parts))
 }
 
-// spillVisited is the dedup structure of the out-of-core engines. claim
-// reports true exactly once per index; the error is non-nil only on spill
-// I/O failure or a corrupt shard file. finish flushes the instance's local
-// counters into the process-wide spill counters and releases disk resources.
-type spillVisited interface {
-	claim(idx uint64) (bool, error)
-	finish()
-}
-
-// denseSpillVisited is the in-RAM front when the whole bitset fits: the
-// fast path of the out-of-core engine, identical in effect to the in-RAM
-// engines' dense visited set but single-owner and therefore atomic-free.
-type denseSpillVisited struct {
-	words []uint64
-	hits  int64
-}
-
-//dc:zeroalloc
-func (d *denseSpillVisited) claim(idx uint64) (bool, error) {
-	d.hits++
-	w := &d.words[idx>>6]
-	bit := uint64(1) << (idx & 63)
-	if *w&bit != 0 {
-		return false, nil
-	}
-	*w |= bit
-	return true, nil
-}
-
-func (d *denseSpillVisited) finish() {
-	spillFrontHits.Add(d.hits)
-	d.hits = 0
-}
-
 // spillRecentCap bounds each partition's unsorted insertion tail; at the cap
 // the tail is sorted and merged into the delta.
 const spillRecentCap = 256
@@ -108,7 +74,7 @@ type shardPart struct {
 // shardedSpillVisited is the disk-backed mode: P shard parts behind Bloom
 // fronts, plus instance-local counters flushed by finish. Parts allocate
 // lazily on first claim, so an instance that only ever sees a subset of the
-// partitions — each worker of the partitioned engine owns 1/W of them —
+// partitions — each of W workers owns 1/W of them —
 // pays only for that subset.
 type shardedSpillVisited struct {
 	parts     []shardPart
@@ -223,9 +189,11 @@ func (p *shardPart) baseHas(idx uint64) (bool, error) {
 	return false, nil
 }
 
-// claim inserts idx if absent. The Bloom front resolves first encounters
-// without touching the deeper layers; everything else walks RAM then (if the
-// partition has spilled) the shard file.
+// claim inserts idx if absent, reporting true exactly once per index; the
+// error is non-nil only on spill I/O failure or a corrupt shard file. The
+// Bloom front resolves first encounters without touching the deeper layers;
+// everything else walks RAM then (if the partition has spilled) the shard
+// file.
 func (s *shardedSpillVisited) claim(idx uint64) (bool, error) {
 	p := &s.parts[s.pt.part(idx)]
 	if p.bloom == nil {
@@ -362,6 +330,8 @@ func (s *shardedSpillVisited) mergeToBase(p *shardPart) error {
 	return nil
 }
 
+// finish folds the instance's counters into the process-wide spill counters
+// and deletes its shard files.
 func (s *shardedSpillVisited) finish() {
 	spillFrontHits.Add(s.hits)
 	spillFrontMisses.Add(s.misses)

@@ -162,7 +162,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# TYPE dcserved_graph_cache_resident_states gauge")
 	fmt.Fprintf(w, "dcserved_graph_cache_resident_states %d\n", cs.States)
 
-	// The out-of-core engine's counters: nonzero spilled bytes mean some
+	// The spill counters: nonzero spilled bytes mean some
 	// evaluation outgrew the -mem-budget and degraded to disk instead of
 	// growing the resident set.
 	ss := explore.SpillCounters()

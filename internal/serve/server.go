@@ -40,11 +40,11 @@ type Config struct {
 	VerdictCacheSize int
 	// SpillBudget, when positive, installs a process-wide exploration
 	// memory budget (bytes): evaluations whose state space would outgrow
-	// it degrade to the out-of-core engine — spilling the visited set and
+	// it degrade to spilled exploration — spilling the visited set and
 	// frontier to files under SpillDir — instead of being refused or
 	// growing without bound. Verdicts are byte-identical either way.
-	// Explorations that fit the budget never touch disk. 0 leaves the
-	// in-RAM engines as the default.
+	// Explorations that fit the budget never touch disk. 0 leaves
+	// exploration in RAM by default.
 	SpillBudget int64
 	// SpillDir is where spill files are placed; "" means the OS temp
 	// directory. Only consulted when SpillBudget is positive.

@@ -333,7 +333,7 @@ func TestServerHealthzAndMetrics(t *testing.T) {
 }
 
 // TestServerSpillBudget configures the server with the minimum exploration
-// memory budget, so evaluations degrade to the out-of-core engine: the
+// memory budget, so evaluations degrade to spilled exploration: the
 // verdicts must stay exactly the ground truth (spilling changes where state
 // lives, never what is decided) and the spill counters must show the
 // engine actually ran.
