@@ -9,7 +9,7 @@ LINT_CLEAN := $(filter-out \
 	internal/lint/testdata/resolve.gcl, \
 	$(wildcard internal/lint/testdata/*.gcl))
 
-.PHONY: check build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-spill bench-slice bench-incr profile clean
+.PHONY: check build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-kernel bench-spill bench-slice bench-incr profile clean
 
 # The full local gate: everything CI would run.
 check: build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz
@@ -95,22 +95,32 @@ bench:
 bench-verify:
 	cd bench && $(GO) test ./... && $(GO) run . -verify
 
-# bench-diff runs the exploration-heavy benchmarks with allocation counting
-# and records the results: graph builds and kernel step microbenchmarks in
-# BENCH_kernel.json, graph-cache reuse and streaming-scan benchmarks in
+# bench-diff runs the graph-reuse benchmarks with allocation counting and
+# records the results: graph-cache reuse and streaming-scan benchmarks in
 # BENCH_reuse.json, and the dcserved swarm throughput/latency record
 # (req/s, p50/p99) in BENCH_served.json. Perf changes land with before/after
 # evidence (compare
 # with `go run golang.org/x/perf/cmd/benchstat` if available, or by eye —
 # the files are plain `go test -json` output). The reuse benchmarks include
 # the deliberately slow UncachedCheck baseline, so they run at -benchtime=3x.
+# The exploration cost rows moved to bench-kernel.
 bench-diff:
-	$(GO) test -json -run='^$$' -bench='Build|Kernel' -benchmem . > BENCH_kernel.json
-	@grep -o '"Output":"[^"]*"' BENCH_kernel.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
 	$(GO) test -json -run='^$$' -bench='CachedReuse|UncachedCheck|Scan' -benchtime=3x -benchmem . > BENCH_reuse.json
 	@grep -o '"Output":"[^"]*"' BENCH_reuse.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
 	$(GO) test -json -run='^$$' -bench='ServedSwarm' ./internal/serve > BENCH_served.json
 	@grep -o '"Output":"[^"]*"' BENCH_served.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
+
+# bench-kernel records what one explored state costs in BENCH_kernel.json:
+# one JSON row per operation — ring-7 and Byzantine graph builds, deadlock
+# hunts on ring 7 with K = 8 and on ring 7 with its faults, SetOf(Legit)
+# over ring 6 with K = 8, and a kernel step sweep of ring 7 — with states,
+# edges, ns/op, allocs/op and states/s, each the mean of KERNEL_RUNS runs
+# after one warm-up. CI runs the one-run form. Like the other BENCH files,
+# the record survives `make clean`.
+KERNEL_RUNS ?= 5
+bench-kernel:
+	$(GO) run ./cmd/dcbench -kernel $(KERNEL_RUNS) > BENCH_kernel.json
+	@cat BENCH_kernel.json
 
 # bench-spill records the spilled scan's evidence in BENCH_spill.json:
 # one JSON row per run of the full SPILL_RING-process token-ring state

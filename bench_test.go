@@ -371,6 +371,47 @@ func BenchmarkFindDeadlockRing7K8(b *testing.B) {
 	}
 }
 
+// BenchmarkFindDeadlockRing7Faults is the large-space workload's costliest
+// question before hunts stopped expanding a fully discovered space: a
+// deadlock hunt over ring 7 composed with its corruption faults, from every
+// state. No state is deadlocked; seeding alone discovers all 823,543.
+func BenchmarkFindDeadlockRing7Faults(b *testing.B) {
+	f, err := gcl.ParseAndCompile(difftest.RingSource(7, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, fair, err := fault.Compose(f.Program, f.Faults)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found, err := explore.FindDeadlock(prog, state.True, explore.ScanOptions{Fair: fair}); err != nil || found {
+			b.Fatalf("found=%v err=%v", found, err)
+		}
+	}
+}
+
+// BenchmarkSetOfLegitRing6K8 sweeps ring 6 K=8's Legit predicate over its
+// built 262,144-state graph, the SetOf that large-space's convergence check
+// runs. The predicate is unnamed so the per-graph memo never answers.
+func BenchmarkSetOfLegitRing6K8(b *testing.B) {
+	f, err := gcl.ParseAndCompile(difftest.RingSource(6, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := explore.Build(f.Program, state.True, explore.Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	legit := f.Preds["Legit"]
+	legit.Name = ""
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SetOf(legit)
+	}
+}
+
 // --- kernel microbenchmarks ---
 //
 // Step is the exploration hot loop: one call expands one state into its

@@ -11,6 +11,7 @@
 //	dcbench -spill 8   # sweep a spilled scan over the ring-8 state space
 //	dcbench -slice 7   # measure cone-of-influence slicing on composed systems
 //	dcbench -incr 7    # measure incremental re-verification of scripted edits
+//	dcbench -kernel 5  # measure builds, hunts, SetOf and kernel steps, 5 runs each
 //
 // -swarm N boots the dcserved verdict service on a loopback port and
 // replays the deterministic serve corpus from N concurrent clients
@@ -36,6 +37,13 @@
 // repair, verdict preservation — against a from-scratch rebuild, asserting
 // identical verdicts and printing one JSON line per edit with both wall
 // times. `make bench-incr` records the sweep in BENCH_incr.json.
+//
+// -kernel n runs the exploration cost rows — ring-7 and Byzantine graph
+// builds, deadlock hunts on ring 7 with K = 8 and on ring 7 with its
+// faults, SetOf(Legit) over ring 6 with K = 8, and a kernel step sweep of
+// ring 7 — once to warm up and then n times each, printing one JSON line
+// per row with states, edges, ns/op, allocs/op and states/s. `make
+// bench-kernel` records the sweep in BENCH_kernel.json.
 //
 // -j N sets the worker count for state-space exploration and simulation
 // campaigns (0 = all CPUs, default 1 = sequential); the tables are
@@ -81,6 +89,7 @@ func run(args []string) error {
 	spill := fs.Int("spill", 0, "sweep a spilled scan over the full state space of an n-process token ring instead of running experiments")
 	slice := fs.Int("slice", 0, "measure the cone-of-influence slicing pre-pass on composed systems (n sizes the watched token ring) instead of running experiments")
 	incr := fs.Int("incr", 0, "measure incremental re-verification of scripted edits on an n-process token ring instead of running experiments")
+	kernel := fs.Int("kernel", 0, "measure exploration cost rows (builds, hunts, SetOf, kernel steps), n runs each, instead of running experiments")
 	spillBudgets := fs.String("spill-budgets", "16M,64M,256M", "comma-separated memory budgets for the -spill sweep")
 	spillBaseline := fs.Bool("spill-baseline", true, "include the unbudgeted in-RAM scan in the -spill sweep")
 	spillDir := fs.String("spill-dir", "", "directory for the -spill sweep's spill files (default: the OS temp directory)")
@@ -135,6 +144,9 @@ func run(args []string) error {
 	}
 	if *incr > 0 {
 		return runIncr(*incr)
+	}
+	if *kernel > 0 {
+		return runKernel(*kernel)
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {

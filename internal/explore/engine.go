@@ -61,22 +61,54 @@ func (o Options) workers() int {
 }
 
 // rawNode is one discovered state before canonical renumbering: its
-// mixed-radix index and the span of its outgoing transitions inside the
-// owning expansion's flat edge arena. States are not materialized during
-// exploration at all — the kernel works on indices, and assemble decodes the
-// final sorted arena once.
+// mixed-radix index and the span of its outgoing transitions inside one
+// chunk of the owning expansion's edge arena. States are not materialized
+// during exploration at all — the kernel works on indices, and assemble
+// decodes the final sorted arena once.
 type rawNode struct {
-	idx uint64
-	off int   // first out-edge in the owning expansion's edges
-	n   int32 // out-degree
+	idx   uint64
+	chunk uint32 // edge chunk holding the out-edges
+	off   uint32 // first out-edge within the chunk
+	n     int32  // out-degree
 }
 
-// expansion is one worker's discovery arena: nodes plus one flat successor
-// slice that the kernel appends into, so expanding a state allocates
-// nothing of its own.
+// edgeChunk is the size, in transitions, past which an expansion starts a
+// new edge chunk instead of re-growing the current one (1 MiB of Succs).
+// The first chunk grows by append, so a small graph never pays for a
+// chunk it does not fill.
+const edgeChunk = 1 << 16
+
+// expansion is one worker's discovery arena: nodes plus successor chunks
+// that the kernel appends into, so expanding a state allocates nothing of
+// its own. A node's edges never straddle two chunks.
 type expansion struct {
-	nodes []rawNode
-	edges []guarded.Succ
+	nodes  []rawNode
+	chunks [][]guarded.Succ
+}
+
+// expand appends the transitions of idx to the current chunk, starting a
+// new one once the current chunk holds edgeChunk transitions, and records
+// the node.
+func (ex *expansion) expand(sc *guarded.Scratch, idx uint64) []guarded.Succ {
+	last := len(ex.chunks) - 1
+	if last < 0 || len(ex.chunks[last]) >= edgeChunk {
+		var next []guarded.Succ
+		if last >= 0 {
+			next = make([]guarded.Succ, 0, edgeChunk+edgeChunk/8)
+		}
+		ex.chunks = append(ex.chunks, next)
+		last++
+	}
+	off := len(ex.chunks[last])
+	ex.chunks[last] = sc.Transitions(idx, ex.chunks[last])
+	succ := ex.chunks[last][off:]
+	ex.nodes = append(ex.nodes, rawNode{idx: idx, chunk: uint32(last), off: uint32(off), n: int32(len(succ))})
+	return succ
+}
+
+// out returns the out-edges of the expansion's node.
+func (ex *expansion) out(node *rawNode) []guarded.Succ {
+	return ex.chunks[node.chunk][node.off : node.off+uint32(node.n)]
 }
 
 func boundError(maxStates int) error {
@@ -263,9 +295,7 @@ func exploreBFS(ctx context.Context, k *guarded.Kernel, init state.Predicate, ma
 			if !ok {
 				return
 			}
-			off := len(ex.edges)
-			ex.edges = sc.Transitions(idx, ex.edges)
-			for _, tr := range ex.edges[off:] {
+			for _, tr := range ex.expand(sc, idx) {
 				if workers == 1 {
 					err = claim(0, tr.To)
 				} else if o := pt.part(tr.To) % workers; o == w {
@@ -278,7 +308,6 @@ func exploreBFS(ctx context.Context, k *guarded.Kernel, init state.Predicate, ma
 					return
 				}
 			}
-			ex.nodes = append(ex.nodes, rawNode{idx: idx, off: off, n: int32(len(ex.edges) - off)})
 		}
 	}
 	route := func(w int) {
@@ -360,7 +389,9 @@ func assemble(k *guarded.Kernel, fair []bool, exps []expansion) *Graph {
 	n, totalE := 0, 0
 	for i := range exps {
 		n += len(exps[i].nodes)
-		totalE += len(exps[i].edges)
+		for _, c := range exps[i].chunks {
+			totalE += len(c)
+		}
 	}
 	refs := make([]nodeRef, 0, n)
 	for ci := range exps {
@@ -415,8 +446,8 @@ func assemble(k *guarded.Kernel, fair []bool, exps []expansion) *Graph {
 	}
 	g.outEdges = make([]Edge, totalE)
 	for i := range refs {
-		node := &exps[refs[i].ch].nodes[refs[i].pos]
-		succ := exps[refs[i].ch].edges[node.off : node.off+int(node.n)]
+		ex := &exps[refs[i].ch]
+		succ := ex.out(&ex.nodes[refs[i].pos])
 		base := g.outOff[i]
 		for j, tr := range succ {
 			g.outEdges[int(base)+j] = Edge{Action: int(tr.Action), To: resolve(tr.To)}

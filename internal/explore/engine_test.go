@@ -12,6 +12,7 @@ import (
 	"detcorr/internal/crosscheck"
 	"detcorr/internal/explore"
 	"detcorr/internal/explore/difftest"
+	"detcorr/internal/gcl"
 	"detcorr/internal/guarded"
 	"detcorr/internal/state"
 )
@@ -52,6 +53,20 @@ func TestEngineMatchesReferenceOnExamples(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineChunkedArenaMatchesReference builds a graph whose edges fill
+// several arena chunks in every cell of the engine matrix and requires the
+// reference engine's graph, which keeps every edge in one flat chunk.
+func TestEngineChunkedArenaMatchesReference(t *testing.T) {
+	f, err := gcl.ParseAndCompile(difftest.RingSource(6, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := requireMatrix(t, f.Program, state.True, explore.Options{})
+	if ref.NumEdges() <= 2*explore.EdgeChunk {
+		t.Fatalf("ring 6 has %d edges, want more than two chunks of %d", ref.NumEdges(), explore.EdgeChunk)
 	}
 }
 

@@ -4,6 +4,8 @@ package explore
 // which compare against the reference engine through difftest — a package
 // that imports this one, so those tests cannot live in package explore.
 
+const EdgeChunk = edgeChunk
+
 var (
 	BuildReference = buildReference
 	Counter        = counter

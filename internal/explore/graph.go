@@ -257,6 +257,14 @@ func (g *Graph) SetOf(p state.Predicate) *Bitset {
 
 func (g *Graph) computeSetOf(p state.Predicate) *Bitset {
 	b := NewBitset(g.n)
+	if p.Row != nil {
+		for id := 0; id < g.n; id++ {
+			if p.Row(g.vals[id*g.nv : (id+1)*g.nv]) {
+				b.Add(id)
+			}
+		}
+		return b
+	}
 	for id := 0; id < g.n; id++ {
 		if p.Holds(g.State(id)) {
 			b.Add(id)

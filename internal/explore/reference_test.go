@@ -61,7 +61,7 @@ func exploreSeq(ctx context.Context, k *guarded.Kernel, init state.Predicate, ma
 	sch := k.Schema()
 	total, _ := sch.NumStates()
 	visited := newVisitedSet(total)
-	ex := &expansion{}
+	ex := &expansion{chunks: make([][]guarded.Succ, 1)} // one flat chunk
 	var stack []int
 	// claim records a newly discovered state, reporting false when doing so
 	// would exceed the bound.
@@ -72,7 +72,7 @@ func exploreSeq(ctx context.Context, k *guarded.Kernel, init state.Predicate, ma
 		if maxStates > 0 && len(ex.nodes) >= maxStates {
 			return false
 		}
-		ex.nodes = append(ex.nodes, rawNode{idx: idx, off: -1})
+		ex.nodes = append(ex.nodes, rawNode{idx: idx})
 		stack = append(stack, len(ex.nodes)-1)
 		return true
 	}
@@ -100,15 +100,15 @@ func exploreSeq(ctx context.Context, k *guarded.Kernel, init state.Predicate, ma
 		}
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		off := len(ex.edges)
-		ex.edges = sc.Transitions(ex.nodes[ni].idx, ex.edges)
-		for _, tr := range ex.edges[off:] {
+		off := len(ex.chunks[0])
+		ex.chunks[0] = sc.Transitions(ex.nodes[ni].idx, ex.chunks[0])
+		for _, tr := range ex.chunks[0][off:] {
 			if !claim(tr.To) {
 				return nil, boundError(maxStates)
 			}
 		}
-		ex.nodes[ni].off = off
-		ex.nodes[ni].n = int32(len(ex.edges) - off)
+		ex.nodes[ni].off = uint32(off)
+		ex.nodes[ni].n = int32(len(ex.chunks[0]) - off)
 	}
 	return []expansion{*ex}, nil
 }

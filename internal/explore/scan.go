@@ -16,7 +16,10 @@ import (
 // hit, so they pay for the states visited up to the witness instead of a
 // full graph assembly; memory stays O(visited states).
 
-// ScanOptions configure a streaming scan.
+// ScanOptions configure a streaming scan. A hunt (Hunt, FindDeadlock)
+// takes the same options. Once a hunt has discovered every state of the
+// schema it stops enumerating transitions: no claim can be fresh any more,
+// so its witness and its MaxStates outcome are those of a full sweep.
 type ScanOptions struct {
 	// Fair marks program actions, as in Options.Fair: nil means all fair.
 	// Fairness only affects the Deadlock visitor (no enabled fair action).
@@ -32,8 +35,8 @@ type ScanOptions struct {
 	InitOnly bool
 	// MemBudget and SpillDir mean what they mean in Options: a positive
 	// budget is a ceiling on the scan's resident set, spilling the visited
-	// set, the FIFO frontier and FindDeadlock's parent log to disk past
-	// it; 0 defers to SetDefaultSpill; negative keeps everything in RAM.
+	// set, the FIFO frontier and a hunt's parent log to disk past it; 0
+	// defers to SetDefaultSpill; negative keeps everything in RAM.
 	// The scan is the same code either way and visits states in the same
 	// FIFO order, so verdicts and witnesses are unchanged. Because a scan
 	// never assembles a graph, the budget bounds the whole verdict — this
@@ -97,6 +100,12 @@ func ScanCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opts
 // state whose transition discovered it, before the Edge visitor. A hook
 // that only needs indices spares the scan decoding each successor; its
 // error aborts the scan.
+//
+// A scan with a parent hook and no Edge visitor is a hunt (see Hunt), and
+// it stops enumerating transitions once it has discovered every state of
+// the schema: from then on no claim can be fresh, so the remaining frontier
+// states only run their Visit and Deadlock visitors. A plain scan keeps
+// enumerating, so ScanStats.Edges counts every transition.
 func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner, onFresh func(to, from uint64) error) (ScanStats, error) {
 	var stats ScanStats
 	if err := p.Schema().Indexable(); err != nil {
@@ -116,25 +125,25 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 	sch := k.Schema()
 	total, _ := sch.NumStates()
 	sc := k.NewScratch()
-	nv := sch.NumVars()
-	rowF := make([]int32, nv)
-	rowT := make([]int32, nv)
-	viewF := sch.ViewState(rowF)
+	rowT := make([]int32, sch.NumVars())
 	viewT := sch.ViewState(rowT)
 	numActs := k.NumActions()
+	hunting := onFresh != nil && v.Edge == nil
+	discovered := uint64(0)
 	var buf []guarded.Succ
 
 	deadlocked := func() bool {
 		for a := 0; a < numActs; a++ {
-			if fair[a] && sc.EnabledOnRow(rowF, a) {
+			if fair[a] && sc.Enabled(a) {
 				return false
 			}
 		}
 		return true
 	}
-	// expand visits one state (already decoded into rowF) and reports its
-	// transitions; claim is nil in InitOnly mode. claim errors — the state
-	// bound, spill I/O failure, a corrupt spill file — abort the scan.
+	// expand visits one state, decoding it once into the kernel scratch,
+	// and reports its transitions; claim is nil in InitOnly mode. claim
+	// errors — the state bound, spill I/O failure, a corrupt spill file —
+	// abort the scan.
 	expand := func(idx uint64, claim func(to uint64) (fresh bool, err error)) (cont bool, err error) {
 		if stats.States&cancelPollMask == 0 {
 			if err := ctx.Err(); err != nil {
@@ -142,13 +151,14 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 			}
 		}
 		stats.States++
-		if v.Visit != nil && !v.Visit(viewF) {
+		view := sc.View(idx)
+		if v.Visit != nil && !v.Visit(view) {
 			return false, nil
 		}
-		if v.Deadlock != nil && deadlocked() && !v.Deadlock(viewF) {
+		if v.Deadlock != nil && deadlocked() && !v.Deadlock(view) {
 			return false, nil
 		}
-		if v.Edge == nil && claim == nil {
+		if v.Edge == nil && (claim == nil || (hunting && discovered == total)) {
 			return true, nil
 		}
 		buf = sc.Transitions(idx, buf[:0])
@@ -169,7 +179,7 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 			}
 			if v.Edge != nil {
 				sch.DecodeInto(rowT, tr.To)
-				if !v.Edge(viewF, viewT, int(tr.Action), fresh) {
+				if !v.Edge(view, viewT, int(tr.Action), fresh) {
 					return false, nil
 				}
 			}
@@ -177,10 +187,11 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 		return true, nil
 	}
 
+	row := make([]int32, sch.NumVars()) // scanInit's odometer
 	if opts.InitOnly {
 		var scanErr error
 		count := 0
-		scanInit(sch, init, 0, total, rowF, func(idx uint64) bool {
+		scanInit(sch, init, 0, total, row, func(idx uint64) bool {
 			count++
 			if opts.MaxStates > 0 && count > opts.MaxStates {
 				scanErr = boundError(opts.MaxStates)
@@ -207,13 +218,12 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 	visited := st.ownedClaims(newSpillPartitioner(total, defaultSpillPartitions), 1, total)[0]
 	frontier := st.newFrontier(int(st.budget / 4))
 	defer frontier.close()
-	discovered := 0
 	claim := func(to uint64) (bool, error) {
 		fresh, err := visited(to)
 		if err != nil || !fresh {
 			return false, err
 		}
-		if opts.MaxStates > 0 && discovered >= opts.MaxStates {
+		if opts.MaxStates > 0 && discovered >= uint64(opts.MaxStates) {
 			return false, boundError(opts.MaxStates)
 		}
 		discovered++
@@ -221,7 +231,7 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 	}
 	var seedErr error
 	seedTick := 0
-	scanInit(sch, init, 0, total, rowF, func(idx uint64) bool {
+	scanInit(sch, init, 0, total, row, func(idx uint64) bool {
 		if seedTick&cancelPollMask == 0 {
 			if err := ctx.Err(); err != nil {
 				seedErr = err
@@ -246,7 +256,6 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 		if !ok {
 			return stats, nil
 		}
-		sch.DecodeInto(rowF, idx)
 		cont, err := expand(idx, claim)
 		if err != nil {
 			return stats, err
@@ -262,27 +271,53 @@ func scan(ctx context.Context, st *bfsStore, p *guarded.Program, init state.Pred
 // and returns a shortest witness trace from an init state to it (BFS with
 // the same tie-breaking as PathBetween on the built graph, so the witness
 // matches the graph path exactly). It reports false when every reachable
-// state has an enabled fair action. The search streams over the kernel —
-// no graph is assembled — and stops at the first deadlock found.
+// state has an enabled fair action. The search is a Hunt: it streams over
+// the kernel — no graph is assembled — stops at the first deadlock found,
+// and stops enumerating transitions once it has discovered the whole state
+// space (from state.True, seeding alone does that).
 func FindDeadlock(p *guarded.Program, init state.Predicate, opts ScanOptions) ([]state.State, bool, error) {
 	return FindDeadlockCtx(context.Background(), p, init, opts)
 }
 
 // FindDeadlockCtx is FindDeadlock under a context; cancellation aborts the
-// streaming hunt with ctx.Err(). The hunt records the BFS tree on a parent
-// log — in RAM, or under a memory budget on disk, since it is the last
-// O(states) structure of the hunt — and reconstructs the witness chain by a
-// single reverse scan of the log (a parent is always recorded before its
-// children, so one backward pass suffices).
+// streaming hunt with ctx.Err().
 func FindDeadlockCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions) ([]state.State, bool, error) {
+	return Hunt(ctx, p, init, opts, Scanner{Deadlock: func(state.State) bool { return false }})
+}
+
+// Hunt searches the states reachable from init for the first one, in BFS
+// order, that v's Visit or Deadlock visitor rejects (returns false at), and
+// returns a shortest witness trace from an init state to it, with the same
+// tie-breaking as PathBetween on the built graph. It reports false when the
+// visitors accept every reachable state. A hunt takes no Edge visitor.
+//
+// The hunt records the BFS tree on the store's parent log — in RAM, or
+// under a memory budget on disk, since it is the last O(states) structure
+// of the hunt — and reconstructs the witness chain by a single reverse scan
+// of the log (a parent is always recorded before its children, so one
+// backward pass suffices). Once every state of the schema is discovered, no
+// claim can be fresh, so the hunt stops enumerating transitions and runs
+// only the visitors on the remaining frontier; this is exact, whatever init
+// is, and the MaxStates bound stays exact because no state is left to
+// discover.
+func Hunt(ctx context.Context, p *guarded.Program, init state.Predicate, opts ScanOptions, v Scanner) ([]state.State, bool, error) {
+	if v.Edge != nil {
+		return nil, false, fmt.Errorf("explore: a hunt takes no Edge visitor")
+	}
 	opts.InitOnly = false
-	sch := p.Schema()
-	var deadIdx uint64
+	var hit uint64
 	found := false
-	deadlock := func(s state.State) bool {
-		deadIdx = s.Index()
-		found = true
-		return false
+	stopAt := func(test func(state.State) bool) func(state.State) bool {
+		if test == nil {
+			return nil
+		}
+		return func(s state.State) bool {
+			if test(s) {
+				return true
+			}
+			hit, found = s.Index(), true
+			return false
+		}
 	}
 
 	st, err := openStore(opts.MemBudget, opts.SpillDir)
@@ -292,14 +327,15 @@ func FindDeadlockCtx(ctx context.Context, p *guarded.Program, init state.Predica
 	defer st.finish()
 	log := st.newParentLog(int(st.budget / 4))
 	defer log.close()
-	_, err = scan(ctx, st, p, init, opts, Scanner{Deadlock: deadlock}, log.record)
+	_, err = scan(ctx, st, p, init, opts, Scanner{Visit: stopAt(v.Visit), Deadlock: stopAt(v.Deadlock)}, log.record)
 	if err != nil || !found {
 		return nil, false, err
 	}
-	chain, err := log.chain(deadIdx)
+	chain, err := log.chain(hit)
 	if err != nil {
 		return nil, false, err
 	}
+	sch := p.Schema()
 	states := make([]state.State, len(chain))
 	for i, idx := range chain {
 		states[i] = sch.StateAt(idx)

@@ -76,6 +76,19 @@ func opsUnary(code guarded.OpCode, x []guarded.Op) []guarded.Op {
 	return append(ops, guarded.Op{Code: code})
 }
 
+// opsShortCircuit lowers a connective with a forward jump: l, the opcode
+// prefix (OpNot for =>), the jump over r, then r (nil-propagating).
+func opsShortCircuit(prefix []guarded.Op, jump guarded.OpCode, l, r []guarded.Op) []guarded.Op {
+	if l == nil || r == nil {
+		return nil
+	}
+	ops := make([]guarded.Op, 0, len(l)+len(prefix)+1+len(r))
+	ops = append(ops, l...)
+	ops = append(ops, prefix...)
+	ops = append(ops, guarded.Op{Code: jump, A: int32(len(r))})
+	return append(ops, r...)
+}
+
 // opsBinary concatenates both operands' bytecode and appends the opcode
 // (nil-propagating).
 func opsBinary(code guarded.OpCode, l, r []guarded.Op) []guarded.Op {
@@ -87,6 +100,9 @@ func opsBinary(code guarded.OpCode, l, r []guarded.Op) []guarded.Op {
 	ops = append(ops, r...)
 	return append(ops, guarded.Op{Code: code})
 }
+
+// notOp is the prefix that lowers l => r as !l | r.
+var notOp = []guarded.Op{{Code: guarded.OpNot}}
 
 type compiler struct {
 	schema *state.Schema
@@ -199,7 +215,11 @@ func compile(ast *FileAST, checkBounds func(*compiler, *FileAST, []ActionDecl) e
 		}
 		c.preds[d.Name] = ce
 		eval := ce.eval
-		f.Preds[d.Name] = state.Pred(d.Name, func(s state.State) bool { return eval(s) != 0 })
+		pred := state.Pred(d.Name, func(s state.State) bool { return eval(s) != 0 })
+		if ce.ops != nil {
+			pred.Row = guarded.RowPredicate(ce.ops)
+		}
+		f.Preds[d.Name] = pred
 	}
 
 	progActs, err := c.compileActions(ast.Actions)
@@ -552,6 +572,11 @@ func (c *compiler) binary(n *Binary, l, r cexpr) (cexpr, error) {
 		le, re := l.eval, r.eval
 		return cexpr{typ: boolType, eval: func(s state.State) int { return f(le(s), re(s)) }, ops: opsBinary(code, l.ops, r.ops)}
 	}
+	// connective is boolOp for &, | and =>, lowered to short-circuit jumps.
+	connective := func(prefix []guarded.Op, jump guarded.OpCode, f func(a, b int) int) cexpr {
+		le, re := l.eval, r.eval
+		return cexpr{typ: boolType, eval: func(s state.State) int { return f(le(s), re(s)) }, ops: opsShortCircuit(prefix, jump, l.ops, r.ops)}
+	}
 	intOp := func(code guarded.OpCode, f func(a, b int) int) cexpr {
 		le, re := l.eval, r.eval
 		return cexpr{typ: intType, eval: func(s state.State) int { return f(le(s), re(s)) }, ops: opsBinary(code, l.ops, r.ops)}
@@ -579,17 +604,17 @@ func (c *compiler) binary(n *Binary, l, r cexpr) (cexpr, error) {
 		if err := needBool(); err != nil {
 			return cexpr{}, err
 		}
-		return boolOp(guarded.OpAnd, func(a, b int) int { return b2i(a != 0 && b != 0) }), nil
+		return connective(nil, guarded.OpJumpIfFalse, func(a, b int) int { return b2i(a != 0 && b != 0) }), nil
 	case OR:
 		if err := needBool(); err != nil {
 			return cexpr{}, err
 		}
-		return boolOp(guarded.OpOr, func(a, b int) int { return b2i(a != 0 || b != 0) }), nil
+		return connective(nil, guarded.OpJumpIfTrue, func(a, b int) int { return b2i(a != 0 || b != 0) }), nil
 	case IMPLIES:
 		if err := needBool(); err != nil {
 			return cexpr{}, err
 		}
-		return boolOp(guarded.OpImplies, func(a, b int) int { return b2i(a == 0 || b != 0) }), nil
+		return connective(notOp, guarded.OpJumpIfTrue, func(a, b int) int { return b2i(a == 0 || b != 0) }), nil
 	case EQ, NEQ:
 		if l.typ != r.typ {
 			return cexpr{}, errAt(n.At.Line, n.At.Col, "%s compares %s with %s", n.Op, l.typ, r.typ)

@@ -13,8 +13,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"detcorr/internal/fault"
 	"detcorr/internal/gcl"
+	"detcorr/internal/guarded"
 	"detcorr/internal/lint"
+	"detcorr/internal/state"
 )
 
 // addCorpus seeds the fuzzer with every .gcl file in the repo's testdata
@@ -101,8 +104,9 @@ func withinSpaceBudget(ast *gcl.FileAST) bool {
 // FuzzCompile parses, compiles, and lints arbitrary input. Invariants: the
 // whole pipeline never panics; whatever Compile accepts yields a program
 // lint.Check finds no Error-severity fault in (the compiler's own
-// validation subsumes the linter's hard errors); and the AST-level analyzer
-// runs cleanly on every parseable input.
+// validation subsumes the linter's hard errors); the AST-level analyzer
+// runs cleanly on every parseable input; and the kernel's three forms and
+// the predicates' two forms agree state by state (checkForms).
 func FuzzCompile(f *testing.F) {
 	addCorpus(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -128,5 +132,67 @@ func FuzzCompile(f *testing.F) {
 				t.Fatalf("compiled program fails lint.Check: %s", d.Message)
 			}
 		}
+		checkForms(t, file)
 	})
+}
+
+// checkForms asserts, for every state of a compiled file's space, that the
+// tabulated kernel, the bytecode-only kernel and Program.Successors (the
+// closures) emit the same transitions in the same order, on the program and
+// on its fault composition when it composes (a fault may share an action's
+// name), and that every declared predicate's bytecode agrees with its
+// closure.
+func checkForms(t *testing.T, file *gcl.File) {
+	t.Helper()
+	progs := []*guarded.Program{file.Program}
+	if !file.Faults.Empty() {
+		if comp, _, err := fault.Compose(file.Program, file.Faults); err == nil {
+			progs = append(progs, comp)
+		}
+	}
+	var tabBuf, byteBuf []guarded.Succ
+	for _, p := range progs {
+		tab := guarded.Compile(p).NewScratch()
+		byteSc := guarded.CompileBytecode(p).NewScratch()
+		err := p.Schema().ForEachState(func(s state.State) bool {
+			idx := s.Index()
+			tabBuf = tab.Transitions(idx, tabBuf[:0])
+			byteBuf = byteSc.Transitions(idx, byteBuf[:0])
+			want := p.Successors(s)
+			if len(tabBuf) != len(want) || len(byteBuf) != len(want) {
+				t.Fatalf("%s: state %s: tabulated %d, bytecode %d, closures %d transitions",
+					p.Name(), s, len(tabBuf), len(byteBuf), len(want))
+			}
+			for i, tr := range want {
+				for form, got := range map[string]guarded.Succ{"tabulated": tabBuf[i], "bytecode": byteBuf[i]} {
+					if int(got.Action) != tr.Action || got.To != tr.To.Index() {
+						t.Fatalf("%s: state %s: transition %d: %s (%d,%d), closures (%d,%d)",
+							p.Name(), s, i, form, got.Action, got.To, tr.Action, tr.To.Index())
+					}
+				}
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: enumerate: %v", p.Name(), err)
+		}
+	}
+	row := make([]int32, file.Schema.NumVars())
+	for name, pred := range file.Preds {
+		if pred.Row == nil {
+			continue
+		}
+		err := file.Schema.ForEachState(func(s state.State) bool {
+			for i := range row {
+				row[i] = int32(s.Get(i))
+			}
+			if got, want := pred.Row(row), pred.Holds(s); got != want {
+				t.Fatalf("predicate %s at %s: bytecode %v, closure %v", name, s, got, want)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("predicate %s: enumerate: %v", name, err)
+		}
+	}
 }

@@ -39,40 +39,61 @@ action wrap :: x == y -> x := (x + 1) % 4
 `,
 }
 
+// kernelForms are the two ways a native action runs: from its table, and
+// from its bytecode alone.
+var kernelForms = []struct {
+	name    string
+	compile func(*guarded.Program) *guarded.Kernel
+}{
+	{"tabulated", guarded.Compile},
+	{"bytecode", guarded.CompileBytecode},
+}
+
 // TestKernelMatchesSuccessors checks, state by state over the full space,
 // that the compiled kernel emits exactly the transitions Program.Successors
 // does — same targets, same actions, same order — for the plain program, the
 // fault-composed program, and a restricted composition (which exercises the
-// hybrid closure-guard/native-statement path).
+// hybrid closure-guard/native-statement path). It runs each kernel form:
+// tabulated and bytecode only.
 func TestKernelMatchesSuccessors(t *testing.T) {
 	for name, src := range kernelSrcs {
 		t.Run(name, func(t *testing.T) {
-			f, err := ParseAndCompile(src)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			progs := []*guarded.Program{f.Program}
-			if !f.Faults.Empty() {
-				comp, _, err := fault.Compose(f.Program, f.Faults)
-				if err != nil {
-					t.Fatalf("compose: %v", err)
-				}
-				progs = append(progs, comp)
-			}
-			notAll := state.Pred("notTop", func(s state.State) bool {
-				return s.Get(0) != s.Schema().Var(0).Domain.Size-1
-			})
-			progs = append(progs, guarded.Restrict(notAll, f.Program))
-			for _, p := range progs {
-				checkKernelAgainstProgram(t, p)
+			for _, form := range kernelForms {
+				t.Run(form.name, func(t *testing.T) {
+					checkKernelOnSource(t, src, form.compile)
+				})
 			}
 		})
 	}
 }
 
-func checkKernelAgainstProgram(t *testing.T, p *guarded.Program) {
+// checkKernelOnSource compiles src and checks the kernel form against the
+// closures on the program, its fault composition and a restriction.
+func checkKernelOnSource(t *testing.T, src string, compile func(*guarded.Program) *guarded.Kernel) {
 	t.Helper()
-	k := guarded.Compile(p)
+	f, err := ParseAndCompile(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	progs := []*guarded.Program{f.Program}
+	if !f.Faults.Empty() {
+		comp, _, err := fault.Compose(f.Program, f.Faults)
+		if err != nil {
+			t.Fatalf("compose: %v", err)
+		}
+		progs = append(progs, comp)
+	}
+	notAll := state.Pred("notTop", func(s state.State) bool {
+		return s.Get(0) != s.Schema().Var(0).Domain.Size-1
+	})
+	progs = append(progs, guarded.Restrict(notAll, f.Program))
+	for _, p := range progs {
+		checkKernelAgainstProgram(t, compile(p), p)
+	}
+}
+
+func checkKernelAgainstProgram(t *testing.T, k *guarded.Kernel, p *guarded.Program) {
+	t.Helper()
 	sc := k.NewScratch()
 	var succ []guarded.Succ
 	err := p.Schema().ForEachState(func(s state.State) bool {
@@ -162,26 +183,30 @@ fault  scramble :: true    -> c1 := ?
 	if err != nil {
 		t.Fatalf("compose: %v", err)
 	}
-	k := guarded.Compile(p)
-	sc := k.NewScratch()
 	n, ok := p.Schema().NumStates()
 	if !ok {
 		t.Fatal("schema not indexable")
 	}
-	idxBuf := make([]uint64, 0, 64)
-	succBuf := make([]guarded.Succ, 0, 64)
-	// Warm the scratch (succBuf inside Step grows once).
-	for idx := uint64(0); idx < n; idx++ {
-		idxBuf = sc.Step(idx, idxBuf[:0])
-		succBuf = sc.Transitions(idx, succBuf[:0])
-	}
-	var idx uint64
-	allocs := testing.AllocsPerRun(1000, func() {
-		idxBuf = sc.Step(idx%n, idxBuf[:0])
-		succBuf = sc.Transitions(idx%n, succBuf[:0])
-		idx++
-	})
-	if allocs != 0 {
-		t.Errorf("kernel path: %v allocs per step batch, want 0", allocs)
+	for _, form := range kernelForms {
+		sc := form.compile(p).NewScratch()
+		idxBuf := make([]uint64, 0, 64)
+		succBuf := make([]guarded.Succ, 0, 64)
+		row := make([]int32, p.Schema().NumVars())
+		// Warm the scratch (succBuf inside Step grows once).
+		for idx := uint64(0); idx < n; idx++ {
+			idxBuf = sc.Step(idx, idxBuf[:0])
+			succBuf = sc.Transitions(idx, succBuf[:0])
+		}
+		var idx uint64
+		allocs := testing.AllocsPerRun(1000, func() {
+			idxBuf = sc.Step(idx%n, idxBuf[:0])
+			succBuf = sc.Transitions(idx%n, succBuf[:0])
+			succBuf = sc.TransitionsOf(idx%n, int(idx%uint64(p.NumActions())), succBuf[:0])
+			_ = sc.EnabledOnRow(row, int(idx%uint64(p.NumActions())))
+			idx++
+		})
+		if allocs != 0 {
+			t.Errorf("%s kernel path: %v allocs per step batch, want 0", form.name, allocs)
+		}
 	}
 }

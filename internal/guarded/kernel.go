@@ -2,6 +2,7 @@ package guarded
 
 import (
 	"fmt"
+	"math"
 
 	"detcorr/internal/state"
 )
@@ -16,7 +17,9 @@ import (
 //
 //   - native: GCL-compiled actions carry CompiledAction bytecode (a small
 //     stack machine over the scratch row, lowered by internal/gcl), which the
-//     kernel evaluates directly on []int32 rows;
+//     kernel evaluates directly on []int32 rows, or, for an action whose
+//     variables span few enough points, reads from a table Compile filled
+//     by running that bytecode once per point (see table);
 //   - closure: hand-written Go actions fall back to a generic adapter that
 //     decodes the index into a pooled scratch state.State view (one backing
 //     array per Scratch) and calls Guard/Stmt/Next. The adapter allocates
@@ -35,7 +38,8 @@ import (
 
 // OpCode is a kernel bytecode instruction. The expression machine is a pure
 // stack machine over int operands: leaves push, unary ops rewrite the top of
-// the stack, binary ops pop two and push one. Booleans are 0/1. The
+// the stack, binary ops pop two and push one, and the two connectives jump
+// forward. Booleans are 0/1. The
 // operators mirror the GCL expression language exactly, including total
 // modulo (x % 0 = 0, result sign-normalized to [0,b)).
 type OpCode uint8
@@ -49,10 +53,15 @@ const (
 	OpNot
 	// OpNeg negates the integer top.
 	OpNeg
-	// Binary boolean connectives (operands are 0/1).
-	OpAnd
-	OpOr
-	OpImplies
+	// OpJumpIfFalse and OpJumpIfTrue are the boolean connectives, lowered
+	// to short-circuit forward jumps (operands are 0/1). When the top
+	// decides the result (0 for OpJumpIfFalse, 1 for OpJumpIfTrue) they
+	// keep it and skip the next A ops; otherwise they pop it. GCL lowers
+	// l & r to l, OpJumpIfFalse len(r), r; l | r likewise with
+	// OpJumpIfTrue; and l => r as !l | r. Expressions are pure and total,
+	// so skipping r changes no value.
+	OpJumpIfFalse
+	OpJumpIfTrue
 	// Comparisons (push 0/1).
 	OpEq
 	OpNeq
@@ -104,7 +113,7 @@ type CompiledAction struct {
 //dc:zeroalloc
 func evalOps(ops []Op, row []int32, stack []int) int {
 	sp := 0
-	for i := range ops {
+	for i := 0; i < len(ops); i++ {
 		op := &ops[i]
 		switch op.Code {
 		case OpConst:
@@ -117,17 +126,23 @@ func evalOps(ops []Op, row []int32, stack []int) int {
 			stack[sp-1] = 1 - stack[sp-1]
 		case OpNeg:
 			stack[sp-1] = -stack[sp-1]
+		case OpJumpIfFalse:
+			if stack[sp-1] == 0 {
+				i += int(op.A)
+			} else {
+				sp--
+			}
+		case OpJumpIfTrue:
+			if stack[sp-1] != 0 {
+				i += int(op.A)
+			} else {
+				sp--
+			}
 		default:
 			sp--
 			a, b := stack[sp-1], stack[sp]
 			var v int
 			switch op.Code {
-			case OpAnd:
-				v = b2i(a != 0 && b != 0)
-			case OpOr:
-				v = b2i(a != 0 || b != 0)
-			case OpImplies:
-				v = b2i(a == 0 || b != 0)
 			case OpEq:
 				v = b2i(a == b)
 			case OpNeq:
@@ -169,7 +184,10 @@ func b2i(b bool) int {
 	return 0
 }
 
-// opsStackDepth returns the maximal stack depth evalOps needs for ops.
+// opsStackDepth returns the maximal stack depth evalOps needs for ops. A
+// jump counts as the pop of its fall-through path: the skipped operand
+// starts at the depth the jump leaves and ends one above it, where the
+// taken path ends too, so one linear pass is exact.
 //
 //dc:zeroalloc
 func opsStackDepth(ops []Op) int {
@@ -190,6 +208,21 @@ func opsStackDepth(ops []Op) int {
 	return max
 }
 
+// RowPredicate returns boolean bytecode as a test on value rows: row[i] is
+// variable i's value index, as in a kernel row. The test is safe for
+// concurrent use and allocates nothing for expressions up to 16 deep.
+func RowPredicate(ops []Op) func(row []int32) bool {
+	depth := opsStackDepth(ops)
+	return func(row []int32) bool {
+		var inline [16]int
+		stack := inline[:]
+		if depth > len(inline) {
+			stack = make([]int, depth)
+		}
+		return evalOps(ops, row, stack) != 0
+	}
+}
+
 // Succ is one successor emitted by the kernel: the index of the action that
 // produced it and the mixed-radix index of the target state.
 type Succ struct {
@@ -200,9 +233,49 @@ type Succ struct {
 // kact is one action prepared for kernel execution.
 type kact struct {
 	comp  *CompiledAction // nil: fully closure-evaluated
+	tab   *table          // non-nil: guard and statement read from a table
 	guard state.Predicate
 	next  func(state.State) []state.State
 	stmt  func(state.State) state.State
+}
+
+// tableLimit bounds a tabulated action's table: a native action gets one
+// when the domains of the variables it reads and deterministically writes
+// multiply to at most this many entries (32 KiB of deltas at the limit).
+const tableLimit = 1 << 12
+
+// Sentinels of a table's delta column. A real delta is the difference of
+// two state indices below 2^62, so it never collides with them.
+const (
+	tabDisabled = math.MinInt64     // the guard is false
+	tabEscapes  = math.MinInt64 + 1 // the guard holds and a write leaves its domain
+)
+
+// table is a native action evaluated once per point of its key — the
+// variables its guard and right-hand sides read plus the variables it
+// writes deterministically — instead of once per transition. Entry sub (the
+// key variables' values as a mixed-radix number, the last varying fastest)
+// holds tabDisabled, tabEscapes, or the index delta Σ (new − old)·radix over
+// the deterministic writes, so a firing costs one lookup and one add. The
+// written variables are part of the key because the delta depends on their
+// old values. Wild ('?') variables are not: their old contribution is
+// subtracted from the row at firing time, exactly as compiledSucc does.
+type table struct {
+	vars    []int32 // key variables, ascending
+	strides []int32 // sub-index weight of each key variable
+	delta   []int64 // by sub-index
+	wild    []int32 // '?' variables in declaration order
+}
+
+// lookup returns the entry of the row's key point.
+//
+//dc:zeroalloc
+func (t *table) lookup(row []int32) int64 {
+	sub := int32(0)
+	for i, v := range t.vars {
+		sub += row[v] * t.strides[i]
+	}
+	return t.delta[sub]
 }
 
 // Kernel is a compiled, immutable successor generator for a program, built
@@ -225,9 +298,20 @@ type Kernel struct {
 }
 
 // Compile builds the transition kernel for p. GCL-compiled actions execute
-// natively from their CompiledAction bytecode; all other actions go through
-// the closure adapter. Compile is cheap (no state enumeration).
-func Compile(p *Program) *Kernel {
+// natively from their CompiledAction bytecode, and every native action
+// whose key (see table) spans at most tableLimit points is tabulated; all
+// other actions go through the closure adapter. Compile enumerates no
+// states: a table costs at most tableLimit bytecode evaluations.
+func Compile(p *Program) *Kernel { return compile(p, tableLimit) }
+
+// CompileBytecode is Compile with no action tabulated: every native action
+// interprets its bytecode at each firing. It is the reference the kernel
+// tests hold the tables against.
+func CompileBytecode(p *Program) *Kernel { return compile(p, 0) }
+
+// compile builds the kernel, tabulating native actions whose key spans at
+// most limit points; the limit is a parameter so tests can move it.
+func compile(p *Program, limit int) *Kernel {
 	sch := p.Schema()
 	nv := sch.NumVars()
 	k := &Kernel{
@@ -262,7 +346,103 @@ func Compile(p *Program) *Kernel {
 			}
 		}
 	}
+	if _, ok := sch.NumStates(); ok && limit > 0 {
+		for i := range k.acts {
+			if c := k.acts[i].comp; c != nil && c.Guard != nil {
+				k.acts[i].tab = k.tabulate(c, limit)
+			}
+		}
+	}
 	return k
+}
+
+// tabulate builds the table of a native action, or returns nil when its key
+// spans more than limit points or its bytecode does not fit the table's
+// shape (a variable written twice, or a read outside the schema).
+func (k *Kernel) tabulate(c *CompiledAction, limit int) *table {
+	key := make([]bool, k.nv)
+	written := make([]bool, k.nv)
+	reads := func(ops []Op) bool {
+		for _, op := range ops {
+			if op.Code == OpVar {
+				if op.A < 0 || int(op.A) >= k.nv {
+					return false
+				}
+				key[op.A] = true
+			}
+		}
+		return true
+	}
+	if !reads(c.Guard) {
+		return nil
+	}
+	t := &table{}
+	for _, as := range c.Assigns {
+		if as.Var < 0 || as.Var >= k.nv || written[as.Var] {
+			return nil
+		}
+		written[as.Var] = true
+		if as.Wild {
+			t.wild = append(t.wild, int32(as.Var))
+			continue
+		}
+		if !reads(as.Expr) {
+			return nil
+		}
+		key[as.Var] = true
+	}
+	size := 1
+	for v, in := range key {
+		if !in {
+			continue
+		}
+		if size *= int(k.sizes[v]); size > limit {
+			return nil
+		}
+		t.vars = append(t.vars, int32(v))
+	}
+	t.strides = make([]int32, len(t.vars))
+	stride := int32(1)
+	for i := len(t.vars) - 1; i >= 0; i-- {
+		t.strides[i] = stride
+		stride *= k.sizes[t.vars[i]]
+	}
+	t.delta = make([]int64, size)
+	row := make([]int32, k.nv)
+	stack := make([]int, k.maxStack)
+	for sub := range t.delta {
+		t.delta[sub] = k.entry(c, row, stack)
+		for i := len(t.vars) - 1; i >= 0; i-- {
+			v := t.vars[i]
+			if row[v]++; row[v] < k.sizes[v] {
+				break
+			}
+			row[v] = 0
+		}
+	}
+	return t
+}
+
+// entry evaluates a native action at one key point: tabDisabled when the
+// guard is false, tabEscapes when a deterministic write leaves its domain,
+// else the index delta of the deterministic writes.
+func (k *Kernel) entry(c *CompiledAction, row []int32, stack []int) int64 {
+	if evalOps(c.Guard, row, stack) == 0 {
+		return tabDisabled
+	}
+	d := int64(0)
+	for i := range c.Assigns {
+		as := &c.Assigns[i]
+		if as.Wild {
+			continue
+		}
+		v := evalOps(as.Expr, row, stack) - as.Off
+		if v < 0 || v >= int(k.sizes[as.Var]) {
+			return tabEscapes
+		}
+		d += int64(v-int(row[as.Var])) * int64(k.schema.Radix(as.Var))
+	}
+	return d
 }
 
 // Program returns the program the kernel was compiled from.
@@ -315,14 +495,26 @@ func (k *Kernel) NewScratch() *Scratch {
 }
 
 // Load decodes the state with the given mixed-radix index into the scratch
-// row. Subsequent Enabled calls evaluate against that row.
+// row. Subsequent Enabled calls evaluate against that row. Loading the
+// index after the loaded one steps the row like an odometer instead of
+// decoding it: sweeps in index order, such as a BFS seeded with every
+// state, pay no divisions.
 //
 //dc:zeroalloc
 func (sc *Scratch) Load(idx uint64) {
 	if sc.hasRow && sc.loaded == idx {
 		return
 	}
-	sc.k.schema.DecodeInto(sc.row, idx)
+	if sc.hasRow && sc.loaded+1 == idx {
+		for i := len(sc.row) - 1; i >= 0; i-- {
+			if sc.row[i]++; sc.row[i] < sc.k.sizes[i] {
+				break
+			}
+			sc.row[i] = 0
+		}
+	} else {
+		sc.k.schema.DecodeInto(sc.row, idx)
+	}
 	sc.loaded = idx
 	sc.hasRow = true
 }
@@ -351,6 +543,9 @@ func (sc *Scratch) EnabledOnRow(row []int32, a int) bool {
 
 //dc:zeroalloc
 func (sc *Scratch) guardHolds(a *kact, row []int32, view state.State) bool {
+	if a.tab != nil {
+		return a.tab.lookup(row) != tabDisabled
+	}
 	if a.comp != nil && a.comp.Guard != nil {
 		return evalOps(a.comp.Guard, row, sc.stack) != 0
 	}
@@ -366,21 +561,7 @@ func (sc *Scratch) guardHolds(a *kact, row []int32, view state.State) bool {
 func (sc *Scratch) Transitions(idx uint64, buf []Succ) []Succ {
 	sc.Load(idx)
 	for ai := range sc.k.acts {
-		a := &sc.k.acts[ai]
-		if !sc.guardHolds(a, sc.row, sc.view) {
-			continue
-		}
-		if a.comp != nil {
-			buf = sc.compiledSucc(int32(ai), a.comp, buf)
-			continue
-		}
-		if a.stmt != nil {
-			buf = append(buf, Succ{Action: int32(ai), To: a.stmt(sc.view).Index()})
-			continue
-		}
-		for _, ns := range a.next(sc.view) {
-			buf = append(buf, Succ{Action: int32(ai), To: ns.Index()})
-		}
+		buf = sc.actionSucc(ai, idx, buf)
 	}
 	return buf
 }
@@ -394,7 +575,34 @@ func (sc *Scratch) Transitions(idx uint64, buf []Succ) []Succ {
 //dc:zeroalloc
 func (sc *Scratch) TransitionsOf(idx uint64, ai int, buf []Succ) []Succ {
 	sc.Load(idx)
+	return sc.actionSucc(ai, idx, buf)
+}
+
+// Step appends the mixed-radix indices of all successors of idx to buf and
+// returns it: Transitions stripped of the action labels. It is the
+// allocation-free reachability primitive.
+//
+//dc:zeroalloc
+func (sc *Scratch) Step(idx uint64, buf []uint64) []uint64 {
+	sc.Load(idx)
+	for ai := range sc.k.acts {
+		sc.succBuf = sc.actionSucc(ai, idx, sc.succBuf[:0])
+		for _, s := range sc.succBuf {
+			buf = append(buf, s.To)
+		}
+	}
+	return buf
+}
+
+// actionSucc appends the transitions of action ai at the loaded state idx:
+// from its table, from its bytecode, or through the closure adapter.
+//
+//dc:zeroalloc
+func (sc *Scratch) actionSucc(ai int, idx uint64, buf []Succ) []Succ {
 	a := &sc.k.acts[ai]
+	if a.tab != nil {
+		return sc.tabulatedSucc(int32(ai), a, idx, buf)
+	}
 	if !sc.guardHolds(a, sc.row, sc.view) {
 		return buf
 	}
@@ -410,42 +618,36 @@ func (sc *Scratch) TransitionsOf(idx uint64, ai int, buf []Succ) []Succ {
 	return buf
 }
 
-// Step appends the mixed-radix indices of all successors of idx to buf and
-// returns it: Transitions stripped of the action labels. It is the
-// allocation-free reachability primitive.
+// tabulatedSucc fires a tabulated action at the loaded state idx: one
+// lookup gives the deterministic writes' index delta, then the wild
+// variables' old values are subtracted and their odometer runs. An entry
+// whose write leaves its domain re-runs the bytecode, which panics with the
+// kernel's domain message.
 //
 //dc:zeroalloc
-func (sc *Scratch) Step(idx uint64, buf []uint64) []uint64 {
-	sc.Load(idx)
-	for ai := range sc.k.acts {
-		a := &sc.k.acts[ai]
-		if !sc.guardHolds(a, sc.row, sc.view) {
-			continue
-		}
-		if a.comp != nil {
-			sc.succBuf = sc.succBuf[:0]
-			sc.succBuf = sc.compiledSucc(int32(ai), a.comp, sc.succBuf)
-			for _, s := range sc.succBuf {
-				buf = append(buf, s.To)
-			}
-			continue
-		}
-		if a.stmt != nil {
-			buf = append(buf, a.stmt(sc.view).Index())
-			continue
-		}
-		for _, ns := range a.next(sc.view) {
-			buf = append(buf, ns.Index())
-		}
+func (sc *Scratch) tabulatedSucc(ai int32, a *kact, idx uint64, buf []Succ) []Succ {
+	t := a.tab
+	switch d := t.lookup(sc.row); d {
+	case tabDisabled:
+		return buf
+	case tabEscapes:
+		return sc.compiledSucc(ai, a.comp, buf)
+	default:
+		idx += uint64(d)
 	}
-	return buf
+	if len(t.wild) == 0 {
+		return append(buf, Succ{Action: ai, To: idx})
+	}
+	for _, w := range t.wild {
+		idx -= uint64(sc.row[w]) * sc.k.schema.Radix(int(w))
+	}
+	return sc.wildSucc(ai, idx, t.wild, buf)
 }
 
 // compiledSucc executes a lowered statement at the loaded row: deterministic
 // right-hand sides are evaluated on the pre-state (simultaneous assignment)
 // into the post row, then wild ('?') variables enumerate their domains
-// lexicographically in declaration order. The emitted index is maintained
-// incrementally over the wild odometer, so each successor costs O(#wild).
+// lexicographically in declaration order.
 //
 //dc:zeroalloc
 func (sc *Scratch) compiledSucc(ai int32, c *CompiledAction, buf []Succ) []Succ {
@@ -470,26 +672,37 @@ func (sc *Scratch) compiledSucc(ai int32, c *CompiledAction, buf []Succ) []Succ 
 	if nw == 0 {
 		return append(buf, Succ{Action: ai, To: base})
 	}
-	// Zero the wild variables' contribution, then run the odometer with the
-	// last declared '?' varying fastest (matching the closure expansion).
-	for j := 0; j < nw; j++ {
-		w := sc.wildVar[j]
+	// Zero the wild variables' contribution before the odometer runs.
+	for _, w := range sc.wildVar[:nw] {
 		base -= uint64(sc.post[w]) * k.schema.Radix(int(w))
-		sc.wildVal[j] = 0
 	}
+	return sc.wildSucc(ai, base, sc.wildVar[:nw], buf)
+}
+
+// wildSucc emits one successor per assignment of values to the wild
+// variables, from base (their contribution zeroed), with the last declared
+// '?' varying fastest (matching the closure expansion). The emitted index is
+// maintained incrementally over the odometer, so each successor costs
+// O(#wild).
+//
+//dc:zeroalloc
+func (sc *Scratch) wildSucc(ai int32, base uint64, wild []int32, buf []Succ) []Succ {
+	k := sc.k
+	vals := sc.wildVal[:len(wild)]
+	clear(vals)
 	idx := base
 	for {
 		buf = append(buf, Succ{Action: ai, To: idx})
-		j := nw - 1
+		j := len(wild) - 1
 		for ; j >= 0; j-- {
-			w := sc.wildVar[j]
-			sc.wildVal[j]++
-			if sc.wildVal[j] < k.sizes[w] {
+			w := wild[j]
+			vals[j]++
+			if vals[j] < k.sizes[w] {
 				idx += k.schema.Radix(int(w))
 				break
 			}
-			idx -= uint64(sc.wildVal[j]-1) * k.schema.Radix(int(w))
-			sc.wildVal[j] = 0
+			idx -= uint64(vals[j]-1) * k.schema.Radix(int(w))
+			vals[j] = 0
 		}
 		if j < 0 {
 			return buf

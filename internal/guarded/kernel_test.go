@@ -94,3 +94,103 @@ func TestKernelAdapterAllocCeiling(t *testing.T) {
 		t.Errorf("closure adapter: %v allocs per step batch, ceiling 32", allocs)
 	}
 }
+
+// handBuilt is a program over x : 0..3, y : 0..2 and a boolean z with one
+// action carrying hand-written bytecode next to its closures:
+//
+//	action a :: x < y -> z := (x == 0), x := x + inc
+//
+// Its key — x and y read, x and z written — spans 4·3·2 = 24 points. The
+// guard keeps x ≤ 1, so with inc = 1 every write stays in x's domain; with
+// inc = 3 the write leaves it where x = 1 (x becomes 4).
+func handBuilt(t *testing.T, inc int) *Program {
+	t.Helper()
+	sch := state.MustSchema(state.IntVar("x", 4), state.IntVar("y", 3), state.BoolVar("z"))
+	a := Det("a",
+		state.Pred("x<y", func(s state.State) bool { return s.Get(0) < s.Get(1) }),
+		func(s state.State) state.State {
+			return s.WithBool(2, s.Get(0) == 0).With(0, s.Get(0)+inc)
+		})
+	a.Compiled = &CompiledAction{
+		Guard: []Op{{Code: OpVar, A: 0}, {Code: OpVar, A: 1}, {Code: OpLt}},
+		Assigns: []CompiledAssign{
+			{Var: 2, Expr: []Op{{Code: OpVar, A: 0}, {Code: OpConst, A: 0}, {Code: OpEq}}},
+			{Var: 0, Expr: []Op{{Code: OpVar, A: 0}, {Code: OpConst, A: int32(inc)}, {Code: OpAdd}}},
+		},
+	}
+	return MustProgram("handbuilt", sch, a)
+}
+
+// TestKernelTableLimit moves the table limit across the action's key size:
+// at 24 points the action is tabulated, at 23 it runs its bytecode, and both
+// emit exactly Program.Successors' transitions.
+func TestKernelTableLimit(t *testing.T) {
+	p := handBuilt(t, 1)
+	n, _ := p.Schema().NumStates()
+	for _, tc := range []struct {
+		limit int
+		tab   bool
+	}{{24, true}, {23, false}, {tableLimit, true}, {0, false}} {
+		k := compile(p, tc.limit)
+		if got := k.acts[0].tab != nil; got != tc.tab {
+			t.Fatalf("limit %d: tabulated=%v, want %v", tc.limit, got, tc.tab)
+		}
+		sc := k.NewScratch()
+		var succ []Succ
+		for idx := uint64(0); idx < n; idx++ {
+			succ = sc.Transitions(idx, succ[:0])
+			want := p.Successors(p.Schema().StateAt(idx))
+			if len(succ) != len(want) {
+				t.Fatalf("limit %d, state %d: %d transitions, closures %d", tc.limit, idx, len(succ), len(want))
+			}
+			for i, tr := range want {
+				if int(succ[i].Action) != tr.Action || succ[i].To != tr.To.Index() {
+					t.Fatalf("limit %d, state %d: kernel (%d,%d), closures (%d,%d)",
+						tc.limit, idx, succ[i].Action, succ[i].To, tr.Action, tr.To.Index())
+				}
+			}
+		}
+	}
+}
+
+// TestKernelTabulatedEscapePanics reaches a table entry whose write leaves
+// its domain: every stepping entry point must panic with the bytecode
+// path's domain message, and only at that entry.
+func TestKernelTabulatedEscapePanics(t *testing.T) {
+	p := handBuilt(t, 3)
+	sch := p.Schema()
+	escaping := state.MustState(sch, 1, 2, 0).Index() // x = 1 → 4
+	safe := state.MustState(sch, 0, 2, 0).Index()     // x = 0 → 3
+	panicOf := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	byteSc := CompileBytecode(p).NewScratch()
+	want := panicOf(func() { byteSc.Transitions(escaping, nil) })
+	if want != `guarded: kernel write of 4 out of domain for variable "x" (size 4)` {
+		t.Fatalf("bytecode path panicked with %v", want)
+	}
+	k := Compile(p)
+	if k.acts[0].tab == nil {
+		t.Fatal("the action is not tabulated")
+	}
+	sc := k.NewScratch()
+	if msg := panicOf(func() { sc.Transitions(safe, nil) }); msg != nil {
+		t.Fatalf("in-domain entry panicked: %v", msg)
+	}
+	for name, step := range map[string]func(){
+		"Transitions":   func() { sc.Transitions(escaping, nil) },
+		"TransitionsOf": func() { sc.TransitionsOf(escaping, 0, nil) },
+		"Step":          func() { sc.Step(escaping, nil) },
+	} {
+		if msg := panicOf(step); msg != want {
+			t.Errorf("%s panicked with %v, want %v", name, msg, want)
+		}
+	}
+	// The guard itself is fine at the escaping entry.
+	sc.Load(escaping)
+	if !sc.Enabled(0) {
+		t.Error("the escaping entry's guard holds")
+	}
+}

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"fmt"
 
 	"detcorr/internal/explore"
@@ -72,51 +73,24 @@ func (pr Problem) CheckRefinesFrom(p *guarded.Program, s state.Predicate) error 
 }
 
 // scanBadState hunts for a reachable state forbidden by a state-only safety
-// specification, streaming over the compiled kernel with early exit. The BFS
-// uses the same tie-breaking as CheckSafety's PathBetween extraction
-// (ascending seeds, FIFO frontier, transitions in action order, first
-// discoverer as parent), so the returned trace is the identical witness.
+// specification, streaming over the compiled kernel with early exit. The
+// hunt (explore.Hunt) uses the same tie-breaking as CheckSafety's
+// PathBetween extraction (ascending seeds, FIFO frontier, transitions in
+// action order, first discoverer as parent), so the returned trace is the
+// identical witness; its parents live on the exploration store, so a
+// memory budget bounds them too.
 func scanBadState(p *guarded.Program, s state.Predicate, sp Safety) (*SafetyViolation, error) {
 	if sp.BadState == nil {
 		// Nothing is forbidden; any reachable set satisfies the spec.
 		return nil, nil
 	}
-	sch := p.Schema()
-	parent := map[uint64]uint64{}
-	var badIdx uint64
-	found := false
-	_, err := explore.Scan(p, s, explore.ScanOptions{}, explore.Scanner{
-		Visit: func(st state.State) bool {
-			if sp.BadState(st) {
-				badIdx = st.Index()
-				found = true
-				return false
-			}
-			return true
-		},
-		Edge: func(from, to state.State, action int, fresh bool) bool {
-			if fresh {
-				parent[to.Index()] = from.Index()
-			}
-			return true
-		},
+	trace, found, err := explore.Hunt(context.Background(), p, s, explore.ScanOptions{}, explore.Scanner{
+		Visit: func(st state.State) bool { return !sp.BadState(st) },
 	})
 	if err != nil || !found {
 		return nil, err
 	}
-	var rev []state.State
-	for idx := badIdx; ; {
-		rev = append(rev, sch.StateAt(idx))
-		pidx, ok := parent[idx]
-		if !ok {
-			break
-		}
-		idx = pidx
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return &SafetyViolation{Spec: sp.Name, Trace: rev}, nil
+	return &SafetyViolation{Spec: sp.Name, Trace: trace}, nil
 }
 
 // Violates reports "p violates SPEC from S" (Section 2.2.1): the negation of

@@ -11,6 +11,11 @@ import (
 type Predicate struct {
 	Name string
 	Eval func(State) bool
+	// Row, when set, is Eval on a raw value row of the schema the predicate
+	// was compiled for: Row(vals) == Eval(schema.ViewState(vals)). Graph
+	// sweeps use it to test arena rows without building a State. GCL
+	// predicates carry it (their bytecode); the combinators below drop it.
+	Row func(vals []int32) bool
 }
 
 // Pred constructs a named predicate.
