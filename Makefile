@@ -9,7 +9,7 @@ LINT_CLEAN := $(filter-out \
 	internal/lint/testdata/resolve.gcl, \
 	$(wildcard internal/lint/testdata/*.gcl))
 
-.PHONY: check build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-kernel bench-spill bench-slice bench-incr profile clean
+.PHONY: check build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz bench bench-verify bench-diff bench-kernel bench-prove bench-spill bench-slice bench-incr profile clean
 
 # The full local gate: everything CI would run.
 check: build fmt vet dcvet test race serve-test watch-test lint prove flow fuzz
@@ -121,6 +121,20 @@ KERNEL_RUNS ?= 5
 bench-kernel:
 	$(GO) run ./cmd/dcbench -kernel $(KERNEL_RUNS) > BENCH_kernel.json
 	@cat BENCH_kernel.json
+
+# bench-prove records what the exploration-free prover costs in
+# BENCH_prove.json: one JSON row per query — ring 3 and 4 convergence from
+# true (the rank synthesis behind `check: prove`), ring 5 convergence under
+# a 50 ms deadline, the detector and corrector attempts of the decision
+# ladder on rings of 3 to 8 machines (each under a 2 s deadline), ring-7
+# closure, memaccess safeness and inferred span, and countdown convergence
+# — with the verdict, ns/op and allocs/op, each the mean of PROVE_RUNS runs
+# from a fresh prover system after one warm-up. CI runs the one-run form.
+# Like the other BENCH files, the record survives `make clean`.
+PROVE_RUNS ?= 5
+bench-prove:
+	$(GO) run ./cmd/dcbench -prove $(PROVE_RUNS) > BENCH_prove.json
+	@cat BENCH_prove.json
 
 # bench-spill records the spilled scan's evidence in BENCH_spill.json:
 # one JSON row per run of the full SPILL_RING-process token-ring state

@@ -20,6 +20,7 @@ import (
 	"detcorr/internal/gcl"
 	"detcorr/internal/guarded"
 	"detcorr/internal/memaccess"
+	"detcorr/internal/prove"
 	"detcorr/internal/runtime"
 	"detcorr/internal/state"
 	"detcorr/internal/tokenring"
@@ -409,6 +410,33 @@ func BenchmarkSetOfLegitRing6K8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.SetOf(legit)
+	}
+}
+
+// BenchmarkProveRing4Convergence is the prover's slowest benchmark query:
+// convergence of the 4-machine ring from true to Legit, a rank synthesis
+// that finds no candidate strictly decreasing any action and so reports
+// unknown after 53 validity queries. Each iteration starts from a fresh
+// System, as a cold dctl call does. `dcbench -prove` records it with the
+// other prover rows.
+func BenchmarkProveRing4Convergence(b *testing.B) {
+	ast, err := gcl.Parse(difftest.RingSource(4, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := prove.NewSystem(ast)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := prove.ProveConvergence(sys, "true", "Legit", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Verdict != prove.Unknown {
+			b.Fatalf("verdict %v, want unknown", rep.Verdict)
+		}
 	}
 }
 

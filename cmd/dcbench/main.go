@@ -12,6 +12,7 @@
 //	dcbench -slice 7   # measure cone-of-influence slicing on composed systems
 //	dcbench -incr 7    # measure incremental re-verification of scripted edits
 //	dcbench -kernel 5  # measure builds, hunts, SetOf and kernel steps, 5 runs each
+//	dcbench -prove 5   # measure prover queries (rank synthesis, components, closure), 5 runs each
 //
 // -swarm N boots the dcserved verdict service on a loopback port and
 // replays the deterministic serve corpus from N concurrent clients
@@ -44,6 +45,14 @@
 // ring 7 — once to warm up and then n times each, printing one JSON line
 // per row with states, edges, ns/op, allocs/op and states/s. `make
 // bench-kernel` records the sweep in BENCH_kernel.json.
+//
+// -prove n runs the prover cost rows — ring 3 and 4 convergence from true
+// (rank synthesis), ring 5 convergence under a 50 ms deadline, the
+// detector and corrector component attempts on rings of 3 to 8 machines,
+// ring-7 closure, memaccess safeness and inferred span, and countdown
+// convergence — each from a fresh prove.System, once to warm up and then
+// n times, printing one JSON line per row with the verdict, ns/op and
+// allocs/op. `make bench-prove` records the sweep in BENCH_prove.json.
 //
 // -j N sets the worker count for state-space exploration and simulation
 // campaigns (0 = all CPUs, default 1 = sequential); the tables are
@@ -90,6 +99,7 @@ func run(args []string) error {
 	slice := fs.Int("slice", 0, "measure the cone-of-influence slicing pre-pass on composed systems (n sizes the watched token ring) instead of running experiments")
 	incr := fs.Int("incr", 0, "measure incremental re-verification of scripted edits on an n-process token ring instead of running experiments")
 	kernel := fs.Int("kernel", 0, "measure exploration cost rows (builds, hunts, SetOf, kernel steps), n runs each, instead of running experiments")
+	proveRuns := fs.Int("prove", 0, "measure prover cost rows (rank synthesis, component attempts, closure, span, safeness), n runs each, instead of running experiments")
 	spillBudgets := fs.String("spill-budgets", "16M,64M,256M", "comma-separated memory budgets for the -spill sweep")
 	spillBaseline := fs.Bool("spill-baseline", true, "include the unbudgeted in-RAM scan in the -spill sweep")
 	spillDir := fs.String("spill-dir", "", "directory for the -spill sweep's spill files (default: the OS temp directory)")
@@ -147,6 +157,9 @@ func run(args []string) error {
 	}
 	if *kernel > 0 {
 		return runKernel(*kernel)
+	}
+	if *proveRuns > 0 {
+		return runProve(*proveRuns)
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {

@@ -1,6 +1,6 @@
 package absdom
 
-import "sort"
+import "math/bits"
 
 // Store is a relational constraint store over named finite-domain
 // variables: per-variable value Sets, equalities maintained as union-find
@@ -12,27 +12,71 @@ import "sort"
 //
 // All operations are monotone (sets only shrink), so any assertion sequence
 // reaches the same fixpoint regardless of order.
+//
+// Names are interned to slots the first time an operation records
+// something about them, and the union-find parents, the class sets and a
+// disequality bit matrix live in slices indexed by slot, so Clone copies
+// slices. A store and its clones share one name table: use them from one
+// goroutine.
 type Store struct {
-	parent map[string]string          // union-find; absent key = self root
-	sets   map[string]Set             // keyed by class representative
-	diseq  map[string]map[string]bool // rep -> disequal reps
-	bad    bool
+	names   *nameTable
+	parent  []int32  // union-find by slot; parent[i] == i for a root
+	sets    []Set    // by class representative; zero when undefined
+	defined []bool   // whether sets[rep] has been set
+	diseq   []uint64 // bit matrix of disequal representatives, stride words per row
+	stride  int
+	bad     bool
+}
+
+// nameTable maps names to slots. It only grows, so a slot means the same
+// name in every store that shares the table; a slot past a store's slices
+// is a name that store has never seen. Up to smallTable names are found
+// by a linear scan, which for the few variables of most programs is
+// cheaper than building a map in every store.
+type nameTable struct {
+	names []string
+	slot  map[string]int32 // nil until the table outgrows smallTable
+}
+
+const smallTable = 16
+
+func (t *nameTable) find(name string) (int, bool) {
+	if t.slot != nil {
+		i, ok := t.slot[name]
+		return int(i), ok
+	}
+	for i, n := range t.names {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+func (t *nameTable) add(name string) int {
+	i := len(t.names)
+	t.names = append(t.names, name)
+	if t.slot == nil && len(t.names) > smallTable {
+		t.slot = make(map[string]int32, 2*len(t.names))
+		for j, n := range t.names {
+			t.slot[n] = int32(j)
+		}
+	} else if t.slot != nil {
+		t.slot[name] = int32(i)
+	}
+	return i
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		parent: map[string]string{},
-		sets:   map[string]Set{},
-		diseq:  map[string]map[string]bool{},
-	}
+	return &Store{names: &nameTable{}}
 }
 
 // Define introduces (or re-constrains) a variable with the given value set.
 func (s *Store) Define(name string, set Set) {
-	r := s.Rep(name)
-	if cur, ok := s.sets[r]; ok {
-		s.setAndPropagate(r, Intersect(cur, set))
+	r := s.find(s.intern(name))
+	if s.defined[r] {
+		s.setAndPropagate(r, Intersect(s.sets[r], set))
 		return
 	}
 	s.setAndPropagate(r, set)
@@ -41,49 +85,101 @@ func (s *Store) Define(name string, set Set) {
 // Clone returns an independent copy; the original is unaffected by
 // assertions on the clone (used for per-branch case splits).
 func (s *Store) Clone() *Store {
-	c := &Store{
-		parent: make(map[string]string, len(s.parent)),
-		sets:   make(map[string]Set, len(s.sets)),
-		diseq:  make(map[string]map[string]bool, len(s.diseq)),
-		bad:    s.bad,
+	return &Store{
+		names:   s.names,
+		parent:  append([]int32(nil), s.parent...),
+		sets:    append([]Set(nil), s.sets...),
+		defined: append([]bool(nil), s.defined...),
+		diseq:   append([]uint64(nil), s.diseq...),
+		stride:  s.stride,
+		bad:     s.bad,
 	}
-	for k, v := range s.parent {
-		c.parent[k] = v
-	}
-	for k, v := range s.sets {
-		c.sets[k] = v
-	}
-	for k, m := range s.diseq {
-		nm := make(map[string]bool, len(m))
-		for k2 := range m {
-			nm[k2] = true
-		}
-		c.diseq[k] = nm
-	}
-	return c
 }
 
-// Rep returns the representative of name's equality class (path-halving
-// find; a never-seen name is its own class).
-func (s *Store) Rep(name string) string {
-	for {
-		p, ok := s.parent[name]
-		if !ok || p == name {
-			return name
-		}
-		if gp, ok := s.parent[p]; ok && gp != p {
-			s.parent[name] = gp
-		}
-		name = p
+// lookup returns name's slot, or false when this store has never recorded
+// anything about it.
+func (s *Store) lookup(name string) (int, bool) {
+	i, ok := s.names.find(name)
+	if !ok || i >= len(s.parent) {
+		return 0, false
 	}
+	return i, true
+}
+
+// intern returns name's slot, adding the name to the table and growing
+// this store's slices as needed. A new slot is its own undefined class.
+func (s *Store) intern(name string) int {
+	i, ok := s.names.find(name)
+	if !ok {
+		i = s.names.add(name)
+	}
+	if i >= len(s.parent) {
+		s.grow(i + 1)
+	}
+	return i
+}
+
+// grow extends the slices to n slots, widening the bit matrix's rows when
+// they no longer hold n bits.
+func (s *Store) grow(n int) {
+	old := len(s.parent)
+	if old == 0 {
+		// Most stores hold a handful of variables: size them once.
+		c := max(n, 8)
+		s.parent, s.sets, s.defined = make([]int32, 0, c), make([]Set, 0, c), make([]bool, 0, c)
+		s.stride = (c + 63) / 64
+		s.diseq = make([]uint64, 0, c*s.stride)
+	}
+	for i := old; i < n; i++ {
+		s.parent = append(s.parent, int32(i))
+		s.sets = append(s.sets, Set{})
+		s.defined = append(s.defined, false)
+	}
+	if stride := (n + 63) / 64; stride > s.stride {
+		m := make([]uint64, n*stride)
+		for i := 0; i < old; i++ {
+			copy(m[i*stride:], s.diseq[i*s.stride:(i+1)*s.stride])
+		}
+		s.diseq, s.stride = m, stride
+		return
+	}
+	s.diseq = append(s.diseq, make([]uint64, (n-old)*s.stride)...)
+}
+
+// find returns the representative slot of i's class (path halving).
+func (s *Store) find(i int) int {
+	for {
+		p := int(s.parent[i])
+		if p == i {
+			return i
+		}
+		if gp := s.parent[p]; int(gp) != p {
+			s.parent[i] = gp
+		}
+		i = p
+	}
+}
+
+// Rep returns the representative of name's equality class (a never-seen
+// name is its own class).
+func (s *Store) Rep(name string) string {
+	i, ok := s.lookup(name)
+	if !ok {
+		return name
+	}
+	return s.names.names[s.find(i)]
 }
 
 // SetOf returns the value set of name's class. Undefined variables are
 // unconstrained (a full interval would be unknown here, so callers Define
 // every variable before asserting).
 func (s *Store) SetOf(name string) (Set, bool) {
-	set, ok := s.sets[s.Rep(name)]
-	return set, ok
+	i, ok := s.lookup(name)
+	if !ok {
+		return Set{}, false
+	}
+	r := s.find(i)
+	return s.sets[r], s.defined[r]
 }
 
 // Contradictory reports whether some asserted constraint combination is
@@ -97,12 +193,12 @@ func (s *Store) MarkContradictory() { s.bad = true }
 // Narrow intersects name's class set with set and propagates. It reports
 // whether the store changed.
 func (s *Store) Narrow(name string, set Set) bool {
-	r := s.Rep(name)
-	cur, ok := s.sets[r]
-	if !ok {
+	r := s.find(s.intern(name))
+	if !s.defined[r] {
 		s.setAndPropagate(r, set)
 		return true
 	}
+	cur := s.sets[r]
 	next := Intersect(cur, set)
 	if Equal(next, cur) {
 		return false
@@ -113,10 +209,11 @@ func (s *Store) Narrow(name string, set Set) bool {
 
 // setAndPropagate installs a class set and runs singleton-disequality
 // propagation to fixpoint: when a class narrows to {v}, every disequal
-// class loses v.
-func (s *Store) setAndPropagate(rep string, set Set) {
-	work := []string{rep}
-	s.sets[rep] = set
+// class loses v, visited in name order.
+func (s *Store) setAndPropagate(rep int, set Set) {
+	work := []int{rep}
+	s.sets[rep], s.defined[rep] = set, true
+	var buf [16]int
 	for len(work) > 0 {
 		r := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -129,9 +226,9 @@ func (s *Store) setAndPropagate(rep string, set Set) {
 		if !single {
 			continue
 		}
-		for _, other := range sortedPeers(s.diseq[r]) {
-			os, ok := s.sets[other]
-			if !ok || !os.Contains(v) {
+		for _, other := range s.sortedPeers(r, buf[:0]) {
+			os := s.sets[other]
+			if !s.defined[other] || !os.Contains(v) {
 				continue
 			}
 			next := os.Remove(v)
@@ -145,44 +242,67 @@ func (s *Store) setAndPropagate(rep string, set Set) {
 	}
 }
 
-func sortedPeers(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
+// sortedPeers appends the slots disequal to rep to out, in name order.
+func (s *Store) sortedPeers(rep int, out []int) []int {
+	row := s.diseq[rep*s.stride : (rep+1)*s.stride]
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
+		}
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	names := s.names.names
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && names[out[j]] < names[out[j-1]]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return out
+}
+
+func (s *Store) isDiseq(a, b int) bool {
+	return s.diseq[a*s.stride+b/64]&(1<<(b%64)) != 0
+}
+
+func (s *Store) setDiseq(a, b int, on bool) {
+	ab, ba := &s.diseq[a*s.stride+b/64], &s.diseq[b*s.stride+a/64]
+	if on {
+		*ab |= 1 << (b % 64)
+		*ba |= 1 << (a % 64)
+		return
+	}
+	*ab &^= 1 << (b % 64)
+	*ba &^= 1 << (a % 64)
 }
 
 // Equate asserts a == b: merges their classes, intersects their sets, and
 // flags contradiction if they were asserted disequal. It reports whether
 // the store changed.
 func (s *Store) Equate(a, b string) bool {
-	ra, rb := s.Rep(a), s.Rep(b)
+	ia, ib := s.intern(a), s.intern(b)
+	ra, rb := s.find(ia), s.find(ib)
 	if ra == rb {
 		return false
 	}
-	if s.diseq[ra][rb] {
+	if s.isDiseq(ra, rb) {
 		s.bad = true
 		return true
 	}
 	// Merge rb into ra.
-	s.parent[rb] = ra
-	sb, okB := s.sets[rb]
-	delete(s.sets, rb)
+	s.parent[rb] = int32(ra)
+	sb, okB := s.sets[rb], s.defined[rb]
+	s.sets[rb], s.defined[rb] = Set{}, false
 	// Re-point rb's disequalities at ra.
-	for other := range s.diseq[rb] {
-		delete(s.diseq[other], rb)
-		if other == ra {
-			continue
+	row := s.diseq[rb*s.stride : (rb+1)*s.stride]
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			other := w*64 + bits.TrailingZeros64(word)
+			s.setDiseq(rb, other, false)
+			if other != ra {
+				s.setDiseq(ra, other, true)
+			}
 		}
-		s.addDiseq(ra, other)
 	}
-	delete(s.diseq, rb)
-	sa, okA := s.sets[ra]
+	sa, okA := s.sets[ra], s.defined[ra]
 	switch {
 	case okA && okB:
 		s.setAndPropagate(ra, Intersect(sa, sb))
@@ -197,47 +317,35 @@ func (s *Store) Equate(a, b string) bool {
 // Disequate asserts a != b. Same-class variables contradict; a singleton
 // class prunes its partner's set. It reports whether the store changed.
 func (s *Store) Disequate(a, b string) bool {
-	ra, rb := s.Rep(a), s.Rep(b)
+	ia, ib := s.intern(a), s.intern(b)
+	ra, rb := s.find(ia), s.find(ib)
 	if ra == rb {
 		s.bad = true
 		return true
 	}
-	if s.diseq[ra][rb] {
+	if s.isDiseq(ra, rb) {
 		return false
 	}
-	s.addDiseq(ra, rb)
-	changed := true
+	s.setDiseq(ra, rb, true)
 	if v, ok := s.singletonOf(ra); ok {
 		s.pruneValue(rb, v)
 	}
 	if v, ok := s.singletonOf(rb); ok {
 		s.pruneValue(ra, v)
 	}
-	return changed
+	return true
 }
 
-func (s *Store) addDiseq(a, b string) {
-	if s.diseq[a] == nil {
-		s.diseq[a] = map[string]bool{}
-	}
-	if s.diseq[b] == nil {
-		s.diseq[b] = map[string]bool{}
-	}
-	s.diseq[a][b] = true
-	s.diseq[b][a] = true
-}
-
-func (s *Store) singletonOf(rep string) (int, bool) {
-	set, ok := s.sets[rep]
-	if !ok {
+func (s *Store) singletonOf(rep int) (int, bool) {
+	if !s.defined[rep] {
 		return 0, false
 	}
-	return set.Singleton()
+	return s.sets[rep].Singleton()
 }
 
-func (s *Store) pruneValue(rep string, v int) {
-	set, ok := s.sets[rep]
-	if !ok || !set.Contains(v) {
+func (s *Store) pruneValue(rep int, v int) {
+	set := s.sets[rep]
+	if !s.defined[rep] || !set.Contains(v) {
 		return
 	}
 	s.setAndPropagate(rep, set.Remove(v))
@@ -245,17 +353,18 @@ func (s *Store) pruneValue(rep string, v int) {
 
 // Disequal reports whether a and b are asserted (or derived) disequal.
 func (s *Store) Disequal(a, b string) bool {
-	ra, rb := s.Rep(a), s.Rep(b)
+	ia, okA := s.lookup(a)
+	ib, okB := s.lookup(b)
+	if !okA || !okB {
+		return false // a never-seen name is an undefined class with no peers
+	}
+	ra, rb := s.find(ia), s.find(ib)
 	if ra == rb {
 		return false
 	}
-	if s.diseq[ra][rb] {
+	if s.isDiseq(ra, rb) {
 		return true
 	}
-	sa, okA := s.sets[ra]
-	sb, okB := s.sets[rb]
-	if okA && okB && sa.Exact() && sb.Exact() && Intersect(sa, sb).IsEmpty() {
-		return true
-	}
-	return false
+	sa, sb := s.sets[ra], s.sets[rb]
+	return s.defined[ra] && s.defined[rb] && sa.Exact() && sb.Exact() && Intersect(sa, sb).IsEmpty()
 }

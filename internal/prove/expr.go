@@ -128,53 +128,134 @@ func flipCmp(op gcl.Kind) gcl.Kind {
 	return op
 }
 
-// freeVars collects the variable names an inlined expression references.
-func freeVars(e gcl.Expr, set map[string]bool) {
-	switch n := e.(type) {
-	case *gcl.Ref:
-		set[n.Name] = true
-	case *gcl.Unary:
-		freeVars(n.X, set)
-	case *gcl.Binary:
-		freeVars(n.L, set)
-		freeVars(n.R, set)
-	}
-}
-
+// sortedVars returns the variable names an inlined expression references,
+// sorted.
 func sortedVars(e gcl.Expr) []string {
-	set := map[string]bool{}
-	freeVars(e, set)
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	var out []string
+	var walk func(e gcl.Expr)
+	walk = func(e gcl.Expr) {
+		switch n := e.(type) {
+		case *gcl.Ref:
+			for _, v := range out {
+				if v == n.Name {
+					return
+				}
+			}
+			out = append(out, n.Name)
+		case *gcl.Unary:
+			walk(n.X)
+		case *gcl.Binary:
+			walk(n.L)
+			walk(n.R)
+		}
 	}
+	walk(e)
 	sort.Strings(out)
 	return out
 }
 
-// evalExpr evaluates an inlined expression under a total assignment
+// lowered is a formula compiled once per validity query: its free
+// variables in name order, as positions in the query's variable list, and
+// an evaluator over a query-wide assignment indexed by those positions
 // (booleans are 0/1, enum values their index, range values source-level).
-func evalExpr(env map[string]int, e gcl.Expr) int {
+type lowered struct {
+	vars []int
+	eval func(env []int) int
+	memo []enumEntry // assertByEnum's outcomes, by what they read
+}
+
+// lower returns e's lowered form, compiling it on first use in the query.
+func (r *refuter) lower(e gcl.Expr) *lowered {
+	if l, ok := r.low[e]; ok {
+		return l
+	}
+	names := sortedVars(e)
+	l := &lowered{vars: make([]int, len(names)), eval: r.compile(e)}
+	for i, n := range names {
+		l.vars[i] = r.slot(n)
+	}
+	r.low[e] = l
+	return l
+}
+
+// slot returns a variable's position in the query's variable list,
+// appending a name the query has not declared (it reads as 0 until
+// assigned, as it always has).
+func (r *refuter) slot(name string) int {
+	if i, ok := r.sys.index[name]; ok {
+		return i
+	}
+	for i := len(r.sys.order); i < len(r.names); i++ {
+		if r.names[i] == name {
+			return i
+		}
+	}
+	r.names = append(r.names, name)
+	r.env = append(r.env, 0)
+	return len(r.names) - 1
+}
+
+// compile turns an inlined expression into a closure over the query-wide
+// assignment.
+func (r *refuter) compile(e gcl.Expr) func(env []int) int {
 	switch n := e.(type) {
 	case *gcl.BoolLit:
+		v := 0
 		if n.Value {
-			return 1
+			v = 1
 		}
-		return 0
+		return func([]int) int { return v }
 	case *gcl.IntLit:
-		return n.Value
+		v := n.Value
+		return func([]int) int { return v }
 	case *gcl.Ref:
-		return env[n.Name]
+		i := r.slot(n.Name)
+		return func(env []int) int { return env[i] }
 	case *gcl.Unary:
-		x := evalExpr(env, n.X)
-		if n.Op == gcl.NOT {
-			return 1 - x
+		if ref, ok := n.X.(*gcl.Ref); ok && n.Op == gcl.NOT {
+			i := r.slot(ref.Name)
+			return func(env []int) int { return 1 - env[i] }
 		}
-		return -x
+		x := r.compile(n.X)
+		if n.Op == gcl.NOT {
+			return func(env []int) int { return 1 - x(env) }
+		}
+		return func(env []int) int { return -x(env) }
 	case *gcl.Binary:
-		return absdom.EvalBinary(n.Op, evalExpr(env, n.L), evalExpr(env, n.R))
+		// Most literals compare a variable with a variable or a constant:
+		// one closure reads both operands.
+		op := n.Op
+		li, lc, lleaf := r.leaf(n.L)
+		ri, rc, rleaf := r.leaf(n.R)
+		switch {
+		case lleaf && rleaf && li >= 0 && ri >= 0:
+			return func(env []int) int { return absdom.EvalBinary(op, env[li], env[ri]) }
+		case lleaf && rleaf && li >= 0:
+			return func(env []int) int { return absdom.EvalBinary(op, env[li], rc) }
+		case lleaf && rleaf && ri >= 0:
+			return func(env []int) int { return absdom.EvalBinary(op, lc, env[ri]) }
+		}
+		a, b := r.compile(n.L), r.compile(n.R)
+		return func(env []int) int { return absdom.EvalBinary(op, a(env), b(env)) }
 	}
-	return 0
+	return func([]int) int { return 0 }
+}
+
+// leaf reports whether e is a variable or a literal: a variable's position
+// in the query (c unused), or a literal's value c with position -1.
+func (r *refuter) leaf(e gcl.Expr) (i, c int, ok bool) {
+	switch n := e.(type) {
+	case *gcl.Ref:
+		return r.slot(n.Name), 0, true
+	case *gcl.IntLit:
+		return -1, n.Value, true
+	case *gcl.BoolLit:
+		if n.Value {
+			return -1, 1, true
+		}
+		return -1, 0, true
+	}
+	return 0, 0, false
 }
 
 // exprString renders an inlined expression in GCL syntax (fully

@@ -136,7 +136,10 @@ func ProveSpanClosureCtx(ctx context.Context, sys *System, inv, span string) (*R
 			return nil, err
 		}
 	} else {
-		box := sys.inferSpan(S)
+		box, err := sys.inferSpan(ctx, S)
+		if err != nil {
+			return nil, err
+		}
 		T = sys.boxExpr(box)
 		rep, err = sys.proveClosureExpr(ctx, CodeSpanClosure,
 			fmt.Sprintf("closure of the inferred span of %s under program and fault actions", inv), T, all)
@@ -433,9 +436,11 @@ func (sys *System) synthesizeRank(ctx context.Context, U, G gcl.Expr) ([]gcl.Exp
 // action. The induced box predicate contains inv and is closed under the
 // actions by construction (modulo the abstraction), which makes it a fault
 // span candidate in the sense of the paper — the closure proof then
-// re-checks it independently.
-func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
-	r := &refuter{ctx: context.Background(), sys: sys, vars: sys.vars}
+// re-checks it independently. The context is polled like a validity
+// query's, and before each action's abstract post; a cancelled inference
+// returns ctx.Err().
+func (sys *System) inferSpan(ctx context.Context, inv gcl.Expr) (map[string]absdom.Set, error) {
+	r := newRefuter(ctx, sys, nil)
 	store := absdom.NewStore()
 	for _, n := range sys.order {
 		v := sys.vars[n]
@@ -444,11 +449,17 @@ func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
 	box := map[string]absdom.Set{}
 	var lits, ors []gcl.Expr
 	flatten([]gcl.Expr{nnf(inv, false)}, &lits, &ors)
-	if !r.propagate(lits, store) {
+	// A cancelled propagation may have cut an enumeration short, so every
+	// propagation checks the latch before its result.
+	ok := r.propagate(lits, store)
+	if r.err != nil {
+		return nil, r.err
+	}
+	if !ok {
 		for _, n := range sys.order {
 			box[n] = absdom.EmptySet()
 		}
-		return box
+		return box, nil
 	}
 	// Refine the initial box with the disjunctive structure: a variable's
 	// set under a clause is the union of its narrowings over the disjuncts.
@@ -462,7 +473,11 @@ func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
 			probe := store.Clone()
 			var dl, dors []gcl.Expr
 			flatten([]gcl.Expr{d}, &dl, &dors)
-			if !r.propagate(dl, probe) {
+			ok := r.propagate(dl, probe)
+			if r.err != nil {
+				return nil, r.err
+			}
+			if !ok {
 				continue
 			}
 			feasible = true
@@ -488,6 +503,9 @@ func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
 	for changed := true; changed; {
 		changed = false
 		for i := range all {
+			if r.stopped() { // the abstract post below does not poll
+				return nil, r.err
+			}
 			a := &all[i]
 			st := absdom.NewStore()
 			for _, n := range sys.order {
@@ -496,7 +514,11 @@ func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
 			var gl, gors []gcl.Expr
 			flatten([]gcl.Expr{nnf(a.Guard, false)}, &gl, &gors)
 			_ = gors // or-clauses are ignored: over-approximates enabledness, still sound
-			if !r.propagate(gl, st) {
+			ok := r.propagate(gl, st)
+			if r.err != nil {
+				return nil, r.err
+			}
+			if !ok {
 				continue // guard unsatisfiable anywhere in the box
 			}
 			for _, as := range a.Assigns {
@@ -515,7 +537,7 @@ func (sys *System) inferSpan(inv gcl.Expr) map[string]absdom.Set {
 			}
 		}
 	}
-	return box
+	return box, nil
 }
 
 // absEvalSet over-approximates the value set of an expression over the

@@ -156,12 +156,15 @@ func (v *VarDom) size() int { return v.Hi - v.Lo + 1 }
 // refers to variables and literals only.
 type System struct {
 	vars    map[string]*VarDom
-	order   []string // declaration order of vars
+	order   []string       // declaration order of vars
+	index   map[string]int // position of each var in order
 	preds   map[string]gcl.Expr
 	actions []gcl.ActionDecl
 	faults  []gcl.ActionDecl
 	fresh   int // counter for primed '?' variables
 	inl     *inliner
+
+	noEnumMemo bool // test seam: every assertByEnum enumerates afresh
 }
 
 // NewSystem resolves a parsed file. Files that fail to compile fail here
@@ -169,6 +172,7 @@ type System struct {
 func NewSystem(ast *gcl.FileAST) (*System, error) {
 	sys := &System{
 		vars:  map[string]*VarDom{},
+		index: map[string]int{},
 		preds: map[string]gcl.Expr{},
 	}
 	consts := map[string]int{}
@@ -194,6 +198,7 @@ func NewSystem(ast *gcl.FileAST) (*System, error) {
 			return nil, fmt.Errorf("prove: variable %q has unknown type", d.Name)
 		}
 		sys.vars[d.Name] = v
+		sys.index[d.Name] = len(sys.order)
 		sys.order = append(sys.order, d.Name)
 	}
 	inliner := &inliner{vars: sys.vars, consts: consts, preds: sys.preds}

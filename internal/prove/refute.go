@@ -36,15 +36,13 @@ type Outcome struct {
 // polled at every case split and every pollEvery enumerated assignments;
 // a cancelled query returns ctx.Err() and no outcome.
 func (sys *System) valid(ctx context.Context, hyps []gcl.Expr, concl gcl.Expr, extra map[string]*VarDom) (Outcome, error) {
-	r := &refuter{ctx: ctx, sys: sys, vars: map[string]*VarDom{}, splits: splitBudget}
-	for n, v := range sys.vars {
-		r.vars[n] = v
-	}
-	for n, v := range extra {
-		r.vars[n] = v
-	}
+	r := newRefuter(ctx, sys, extra)
 	store := absdom.NewStore()
-	for n, v := range r.vars {
+	for _, n := range r.names {
+		v := sys.vars[n]
+		if x, ok := extra[n]; ok {
+			v = x
+		}
 		store.Define(n, absdom.FullSet(v.Lo, v.Hi))
 	}
 	conjs := make([]gcl.Expr, 0, len(hyps)+1)
@@ -81,10 +79,35 @@ type refuter struct {
 	err    error // the context's error, latched once the query is cancelled
 	ticks  int   // assignments enumerated since the last poll
 	sys    *System
-	vars   map[string]*VarDom
 	splits int // remaining case-split budget, shared across the whole query
 	notes  []string
 	cex    map[string]int
+
+	// Scratch of classes and assertByEnum, reused across calls.
+	reps  []string
+	group []int
+	diseq []bool
+	sets  []absdom.Set
+
+	// The query's variables: the system's in declaration order, then the
+	// fresh ones. A lowered formula reads its variables' values from env
+	// at these positions.
+	names []string
+	env   []int
+	low   map[gcl.Expr]*lowered // every formula lowered so far in this query
+}
+
+// newRefuter prepares one validity query over the system's variables and
+// extra, the fresh variables of its '?' targets.
+func newRefuter(ctx context.Context, sys *System, extra map[string]*VarDom) *refuter {
+	r := &refuter{ctx: ctx, sys: sys, splits: splitBudget, low: map[gcl.Expr]*lowered{}}
+	r.names = append(make([]string, 0, len(sys.order)+len(extra)), sys.order...)
+	for n := range extra {
+		r.names = append(r.names, n)
+	}
+	sort.Strings(r.names[len(sys.order):])
+	r.env = make([]int, len(r.names))
+	return r
 }
 
 // stopped polls the context and latches its error. Once it reports true
@@ -343,6 +366,96 @@ func (r *refuter) assertOrder(op gcl.Kind, a, b string, store *absdom.Store) boo
 	return changed
 }
 
+// Bounds of assertByEnum's memo: it remembers the enumerations of literals
+// over at most memoVars variables, keyed by their grouping into equality
+// classes (3 bits a variable) and the disequal pairs among the classes
+// (one bit a pair), and at most memoEntries outcomes per literal, searched
+// linearly — a literal rarely meets more than a few distinct keys in one
+// query.
+const (
+	memoVars    = 8
+	memoEntries = 64
+)
+
+// enumEntry is one remembered enumeration: everything it read from the
+// store — which class each variable maps to, which pairs of classes are
+// disequal, and the classes' value sets in order of first appearance —
+// and what it concluded.
+type enumEntry struct {
+	groups, diseq uint32
+	sets          []absdom.Set
+	res           enumResult
+}
+
+// enumResult is what an enumeration concluded: no satisfying combination,
+// or the values of each class that appear in some satisfying combination.
+type enumResult struct {
+	contradiction bool
+	feasible      []absdom.Set
+}
+
+// classes groups a lowered formula's variables by the store's equality
+// classes: the representatives in order of first appearance, the position
+// of each variable's representative, and the disequal pairs among the
+// representatives (diseq[i*len(reps)+j] for j < i). The slices are the
+// refuter's scratch, valid until the next call.
+func (r *refuter) classes(l *lowered, store *absdom.Store) (reps []string, group []int, diseq []bool) {
+	reps, group = r.reps[:0], r.group[:0]
+	for _, v := range l.vars {
+		rep := store.Rep(r.names[v])
+		i := indexOf(reps, rep)
+		if i < 0 {
+			i = len(reps)
+			reps = append(reps, rep)
+		}
+		group = append(group, i)
+	}
+	diseq = r.diseq[:0]
+	for i := range reps {
+		for j := range reps {
+			diseq = append(diseq, j < i && store.Disequal(reps[i], reps[j]))
+		}
+	}
+	r.reps, r.group, r.diseq = reps, group, diseq
+	return reps, group, diseq
+}
+
+// enumerate visits every combination of values of the classes' sets in
+// ascending odometer order (the last class fastest), skipping combinations
+// that give two disequal classes the same value. It fills env for the
+// lowered formula's variables and calls visit, which returns false to stop
+// the enumeration; enumerate reports whether it stopped early. Each
+// combination is one tick, and a cancellation stops the enumeration too:
+// callers check the latch before trusting the result.
+func (r *refuter) enumerate(l *lowered, group []int, sets []absdom.Set, diseq []bool, visit func(vals []int) bool) bool {
+	vals := make([]int, len(sets))
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(sets) {
+			if r.tick() {
+				return true
+			}
+			for p, v := range l.vars {
+				r.env[v] = vals[group[p]]
+			}
+			return !visit(vals)
+		}
+		stopped := false
+		sets[i].ForEach(func(v int) bool {
+			vals[i] = v
+			for j := 0; j < i; j++ {
+				if vals[j] == v && diseq[i*len(sets)+j] {
+					return true
+				}
+			}
+			stopped = rec(i + 1)
+			return !stopped
+		})
+		return stopped
+	}
+	return rec(0)
+}
+
 // assertByEnum decides an arbitrary literal by enumerating the value sets
 // of its variables' equality-class representatives (each member variable
 // takes its representative's value, and combinations violating a recorded
@@ -350,95 +463,106 @@ func (r *refuter) assertOrder(op gcl.Kind, a, b string, store *absdom.Store) boo
 // store is contradictory; otherwise each representative is narrowed to
 // the values that appear in some satisfying combination. Products beyond
 // miniBudget are skipped — the exact fallback may still decide them.
-func (r *refuter) assertByEnum(l gcl.Expr, store *absdom.Store) bool {
-	vars := sortedVars(l)
-	if len(vars) == 0 {
-		if evalExpr(nil, l) == 0 {
+//
+// Within one query the outcome of an enumeration is remembered by
+// everything it read (enumEntry); a repeat replays the same
+// MarkContradictory or Narrow calls, so the store evolves exactly as if it
+// had enumerated again, and counts as one tick.
+func (r *refuter) assertByEnum(e gcl.Expr, store *absdom.Store) bool {
+	l := r.lower(e)
+	if len(l.vars) == 0 {
+		if l.eval(r.env) == 0 {
 			store.MarkContradictory()
 			return true
 		}
 		return false
 	}
-	// Group variables by representative.
-	repOf := map[string]string{}
-	var reps []string
-	for _, v := range vars {
-		rep := store.Rep(v)
-		repOf[v] = rep
-		seen := false
-		for _, x := range reps {
-			if x == rep {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			reps = append(reps, rep)
-		}
-	}
-	sets := make([]absdom.Set, len(reps))
+	reps, group, diseq := r.classes(l, store)
+	sets := r.sets[:0]
 	total := 1
-	for i, rep := range reps {
+	for _, rep := range reps {
 		set, ok := store.SetOf(rep)
 		if !ok || set.IsEmpty() {
 			return false
 		}
-		sets[i] = set
+		sets = append(sets, set)
 		if c := set.Count(); total > miniBudget/c {
 			return false // too wide to enumerate here
 		} else {
 			total *= c
 		}
 	}
+	r.sets = sets
+	var groups, dis uint32
+	memo := !r.sys.noEnumMemo && len(l.vars) <= memoVars
+	if memo {
+		for p, g := range group {
+			groups |= uint32(g) << (3 * p)
+		}
+		bit := 0
+		for i := range reps {
+			for j := 0; j < i; j++ {
+				if diseq[i*len(reps)+j] {
+					dis |= 1 << bit
+				}
+				bit++
+			}
+		}
+		for i := range l.memo {
+			if e := &l.memo[i]; e.groups == groups && e.diseq == dis && setsEqual(e.sets, sets) {
+				if r.tick() {
+					return false
+				}
+				return applyEnum(e.res, reps, store)
+			}
+		}
+	}
 	feasible := make([]absdom.Set, len(reps))
 	for i := range feasible {
 		feasible[i] = absdom.EmptySet()
 	}
-	env := map[string]int{}
-	vals := make([]int, len(reps))
-	var rec func(i int)
 	any := false
-	rec = func(i int) {
-		if i == len(reps) {
-			if r.tick() {
-				return
-			}
-			for _, v := range vars {
-				env[v] = vals[indexOf(reps, repOf[v])]
-			}
-			if evalExpr(env, l) == 0 {
-				return
-			}
+	r.enumerate(l, group, sets, diseq, func(vals []int) bool {
+		if l.eval(r.env) != 0 {
 			any = true
-			for j := range reps {
-				feasible[j] = absdom.Union(feasible[j], absdom.SingleSet(vals[j]))
+			for j, v := range vals {
+				feasible[j] = absdom.Union(feasible[j], absdom.SingleSet(v))
 			}
-			return
 		}
-		sets[i].ForEach(func(v int) bool {
-			vals[i] = v
-			// Skip combinations violating recorded disequalities between the
-			// enumerated representatives.
-			for j := 0; j < i; j++ {
-				if vals[j] == v && store.Disequal(reps[i], reps[j]) {
-					return true
-				}
-			}
-			rec(i + 1)
-			return true
-		})
-	}
-	rec(0)
+		return true
+	})
 	if r.err != nil {
 		return false // the enumeration was cut short: learn nothing from it
 	}
-	if !any {
+	res := enumResult{contradiction: !any, feasible: feasible}
+	if memo && len(l.memo) < memoEntries {
+		l.memo = append(l.memo, enumEntry{groups: groups, diseq: dis, sets: append([]absdom.Set(nil), sets...), res: res})
+	}
+	return applyEnum(res, reps, store)
+}
+
+func setsEqual(a, b []absdom.Set) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// applyEnum records an enumeration's outcome in the store and reports
+// whether the store changed.
+func applyEnum(res enumResult, reps []string, store *absdom.Store) bool {
+	if res.contradiction {
 		store.MarkContradictory()
 		return true
 	}
 	changed := false
 	for i, rep := range reps {
-		if store.Narrow(rep, feasible[i]) {
+		if store.Narrow(rep, res.feasible[i]) {
 			changed = true
 		}
 	}
@@ -464,25 +588,24 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 	if r.stopped() {
 		return inconclusive
 	}
-	varSet := map[string]bool{}
-	for _, e := range conjs {
-		freeVars(e, varSet)
+	lows := make([]*lowered, len(conjs))
+	for i, e := range conjs {
+		lows[i] = r.lower(e)
 	}
-	vars := make([]string, 0, len(varSet))
-	for v := range varSet {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	// Enumerate per representative; members copy their rep's value.
-	var reps []string
-	repOf := map[string]string{}
-	for _, v := range vars {
-		rep := store.Rep(v)
-		repOf[v] = rep
-		if indexOf(reps, rep) < 0 {
-			reps = append(reps, rep)
+	// The branch as one formula: the union of the variables, in name order.
+	all := &lowered{}
+	seen := make([]bool, len(r.names))
+	for _, l := range lows {
+		for _, v := range l.vars {
+			if !seen[v] {
+				seen[v] = true
+				all.vars = append(all.vars, v)
+			}
 		}
 	}
+	sort.Slice(all.vars, func(i, j int) bool { return r.names[all.vars[i]] < r.names[all.vars[j]] })
+	// Enumerate per representative; members copy their rep's value.
+	reps, group, diseq := r.classes(all, store)
 	sets := make([]absdom.Set, len(reps))
 	total := 1
 	for i, rep := range reps {
@@ -503,69 +626,42 @@ func (r *refuter) decideExact(conjs []gcl.Expr, store *absdom.Store) status {
 			total *= c
 		}
 	}
-	env := map[string]int{}
-	vals := make([]int, len(reps))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(reps) {
-			if r.tick() {
-				return true // stop the enumeration; valid discards the status
+	found := r.enumerate(all, group, sets, diseq, func([]int) bool {
+		for _, l := range lows {
+			if l.eval(r.env) == 0 {
+				return true
 			}
-			for _, v := range vars {
-				env[v] = vals[indexOf(reps, repOf[v])]
-			}
-			for _, e := range conjs {
-				if evalExpr(env, e) == 0 {
-					return false
-				}
-			}
-			return true
 		}
-		found := false
-		sets[i].ForEach(func(v int) bool {
-			vals[i] = v
-			for j := 0; j < i; j++ {
-				if vals[j] == v && store.Disequal(reps[i], reps[j]) {
-					return true
-				}
-			}
-			if rec(i + 1) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	found := rec(0)
+		return false // satisfied: env holds the witness
+	})
 	if r.err != nil {
 		return inconclusive
 	}
-	if found {
-		// Complete the witness with every declared variable so the report
-		// shows a full state (unconstrained variables take their minimum).
-		r.cex = map[string]int{}
-		for _, name := range r.sys.order {
-			if v, bound := env[name]; bound {
-				r.cex[name] = v
-				continue
-			}
-			rep := repOf[name]
-			if rep == "" {
-				rep = store.Rep(name)
-			}
-			if set, ok := store.SetOf(rep); ok && !set.IsEmpty() {
-				r.cex[name] = set.IV.Lo
-			} else {
-				r.cex[name] = r.sys.vars[name].Lo
-			}
-		}
-		for name, v := range env {
-			if _, declared := r.sys.vars[name]; !declared {
-				r.cex[name] = v // fresh '?' variables, rendered with their tick
-			}
-		}
-		return satisfiable
+	if !found {
+		return refuted
 	}
-	return refuted
+	env := make(map[string]int, len(all.vars))
+	for _, v := range all.vars {
+		env[r.names[v]] = r.env[v]
+	}
+	// Complete the witness with every declared variable so the report
+	// shows a full state (unconstrained variables take their minimum).
+	r.cex = map[string]int{}
+	for _, name := range r.sys.order {
+		if v, bound := env[name]; bound {
+			r.cex[name] = v
+			continue
+		}
+		if set, ok := store.SetOf(store.Rep(name)); ok && !set.IsEmpty() {
+			r.cex[name] = set.IV.Lo
+		} else {
+			r.cex[name] = r.sys.vars[name].Lo
+		}
+	}
+	for name, v := range env {
+		if _, declared := r.sys.vars[name]; !declared {
+			r.cex[name] = v // fresh '?' variables, rendered with their tick
+		}
+	}
+	return satisfiable
 }
