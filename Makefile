@@ -113,10 +113,11 @@ bench-diff:
 # bench-kernel records what one explored state costs in BENCH_kernel.json:
 # one JSON row per operation — ring-7 and Byzantine graph builds, deadlock
 # hunts on ring 7 with K = 8 and on ring 7 with its faults, SetOf(Legit)
-# over ring 6 with K = 8, and a kernel step sweep of ring 7 — with states,
-# edges, ns/op, allocs/op and states/s, each the mean of KERNEL_RUNS runs
-# after one warm-up. CI runs the one-run form. Like the other BENCH files,
-# the record survives `make clean`.
+# and a fresh-memo fair-cycle search outside Legit over ring 6 with K = 8,
+# and a kernel step sweep of ring 7 — with states, edges, ns/op, allocs/op
+# and states/s, each the mean of KERNEL_RUNS runs after one warm-up. CI
+# runs the one-run form. Like the other BENCH files, the record survives
+# `make clean`.
 KERNEL_RUNS ?= 5
 bench-kernel:
 	$(GO) run ./cmd/dcbench -kernel $(KERNEL_RUNS) > BENCH_kernel.json

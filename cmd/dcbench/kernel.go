@@ -1,12 +1,13 @@
 package main
 
 // The -kernel sweep records what one explored state costs: graph builds,
-// deadlock hunts, a predicate sweep over a built graph and the raw kernel
-// step. Each row runs its operation once to warm up, then n times, and
-// prints one JSON line: the states (and edges) one operation covers, its
-// time and allocations, and states per second. The root package's
-// benchmarks of the same names (`go test -bench`) measure the same
-// operations. `make bench-kernel` records the sweep in BENCH_kernel.json.
+// deadlock hunts, a predicate sweep and a fair-cycle search over a built
+// graph, and the raw kernel step. Each row runs its operation once to warm
+// up, then n times, and prints one JSON line: the states (and edges) one
+// operation covers, its time and allocations, and states per second. The
+// root package's benchmarks of the same names (`go test -bench`) measure
+// the same operations. `make bench-kernel` records the sweep in
+// BENCH_kernel.json.
 
 import (
 	"encoding/json"
@@ -26,7 +27,8 @@ import (
 )
 
 // kernelRow is one benchmark line of BENCH_kernel.json. Edges counts the
-// transitions one operation emits into a graph or a buffer; it is 0 for a
+// transitions one operation emits into a graph or a buffer, or, for a
+// fair-cycle search, the edges of the graph it searches; it is 0 for a
 // SetOf sweep, which emits none, and for a hunt, which builds no graph.
 type kernelRow struct {
 	Name         string  `json:"name"`
@@ -104,6 +106,26 @@ func kernelBenches() []kernelBench {
 			return func() (int, int, error) {
 				g.SetOf(legit)
 				return g.NumNodes(), 0, nil
+			}, nil
+		}},
+		{"FairCycleRing6K8", func() (kernelOp, error) {
+			f, err := gcl.ParseAndCompile(difftest.RingSource(6, 8))
+			if err != nil {
+				return nil, err
+			}
+			g, err := explore.Build(f.Program, state.True, explore.Options{Parallelism: 1})
+			if err != nil {
+				return nil, err
+			}
+			ill := g.SetOf(state.Not(f.Preds["Legit"]))
+			all := func(int) bool { return true }
+			return func() (int, int, error) {
+				// A RestrictFair view has the graph's edges and a fresh
+				// memo, so every run searches instead of hitting the memo.
+				if comp := g.RestrictFair(all).FairCycle(ill); comp != nil {
+					return 0, 0, fmt.Errorf("fair cycle outside Legit: %d states", len(comp))
+				}
+				return g.NumNodes(), g.NumEdges(), nil
 			}, nil
 		}},
 		{"KernelStepRing7Native", func() (kernelOp, error) {

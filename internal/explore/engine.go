@@ -117,7 +117,9 @@ func boundError(maxStates int) error {
 
 // scanInit calls fn(idx) for every index in [lo, hi) whose state satisfies
 // init, walking the mixed-radix odometer incrementally over a reusable row
-// (no per-state allocation). It stops early, reporting false, when fn does.
+// (no per-state allocation). A predicate with a Row form (GCL bytecode) is
+// tested on the row itself, others on a view of it. It stops early,
+// reporting false, when fn does.
 //
 //dc:zeroalloc
 func scanInit(sch *state.Schema, init state.Predicate, lo, hi uint64, row []int32, fn func(idx uint64) bool) bool {
@@ -128,7 +130,13 @@ func scanInit(sch *state.Schema, init state.Predicate, lo, hi uint64, row []int3
 	view := sch.ViewState(row)
 	nv := len(row)
 	for idx := lo; ; {
-		if init.Holds(view) && !fn(idx) {
+		var holds bool
+		if init.Row != nil {
+			holds = init.Row(row)
+		} else {
+			holds = init.Holds(view)
+		}
+		if holds && !fn(idx) {
 			return false
 		}
 		idx++

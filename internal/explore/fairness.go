@@ -64,9 +64,12 @@ func (v *LivenessViolation) Error() string {
 // would keep a continuously enabled yet never execute it; conversely a tour
 // of all states and internal fair edges of C is weakly fair.)
 //
-// One membership set serves every component: each is added, tested and
-// removed again, so the cost is linear in the components' sizes rather than
-// a fresh n-bit set per SCC.
+// Only the components that can carry a cycle are searched, in Tarjan's
+// order: a single node without a fair self-loop has no internal fair edge,
+// so dropping it never changes which component is returned first. One
+// membership set serves every component: each is added, tested and removed
+// again, so the cost is linear in the components' sizes rather than a fresh
+// n-bit set per SCC.
 func (g *Graph) FairCycle(within *Bitset) []int {
 	member := NewBitset(g.n)
 	for _, comp := range g.fairSCCs(within) {
@@ -84,14 +87,15 @@ func (g *Graph) FairCycle(within *Bitset) []int {
 	return nil
 }
 
-// fairSCCs computes SCCs of the subgraph with only fair-action edges,
-// running Tarjan over a filtered CSR view (no in-lists needed). The view is
-// built once per graph and the decompositions are memoized by `within`.
+// fairSCCs computes the cycle-capable SCCs (see cyclicSCCs) of the subgraph
+// with only fair-action edges, running Tarjan over a filtered CSR view (no
+// in-lists needed). The view is built once per graph and the decompositions
+// are memoized by `within`.
 func (g *Graph) fairSCCs(within *Bitset) [][]int {
 	if g.memo != nil {
 		return g.memoFairSCCs(within)
 	}
-	return g.fairEdgeView().SCCs(within)
+	return g.fairEdgeView().cyclicSCCs(within)
 }
 
 func (g *Graph) hasInternalFairEdge(member *Bitset, comp []int) bool {

@@ -188,23 +188,33 @@ func (g *Graph) memoCheckEventually(from, goal *Bitset) *LivenessViolation {
 }
 
 // fairEdgeView returns the fair-edge-only view the SCC pass runs on,
-// computed once per graph. Dropping the `within` term from the edge filter is
-// sound because SCCs(within) never opens a frame for — and therefore never
-// reads the out-edges of — a node outside within.
+// computed once per graph; when every action is fair that is the graph
+// itself. Dropping the `within` term from the edge filter is sound because
+// the SCC pass never opens a frame for — and therefore never reads the
+// out-edges of — a node outside within.
 func (g *Graph) fairEdgeView() *Graph {
 	m := g.memo
 	if m == nil {
-		return g.filterEdges(func(from int, e Edge) bool { return g.fair[e.Action] }, false)
+		return g.fairEdges()
 	}
-	m.fairOnce.Do(func() {
-		m.fairView = g.filterEdges(func(from int, e Edge) bool { return g.fair[e.Action] }, false)
-	})
+	m.fairOnce.Do(func() { m.fairView = g.fairEdges() })
 	return m.fairView
 }
 
-// memoFairSCCs serves fair SCC decompositions keyed by the `within`
-// restriction. The component slices are shared; callers treat them as
-// read-only (FairCycle and its helpers only iterate).
+// fairEdges builds the fair-edge view, or returns g when no action is
+// unfair.
+func (g *Graph) fairEdges() *Graph {
+	for _, fair := range g.fair {
+		if !fair {
+			return g.filterEdges(func(from int, e Edge) bool { return g.fair[e.Action] }, false)
+		}
+	}
+	return g
+}
+
+// memoFairSCCs serves fair SCC decompositions (cycle-capable components
+// only) keyed by the `within` restriction. The component slices are shared;
+// callers treat them as read-only (FairCycle and its helpers only iterate).
 func (g *Graph) memoFairSCCs(within *Bitset) [][]int {
 	m := g.memo
 	m.sccMu.Lock()
@@ -218,7 +228,7 @@ func (g *Graph) memoFairSCCs(within *Bitset) [][]int {
 		}
 	}
 	m.sccMu.Unlock()
-	comps := g.fairEdgeView().SCCs(within)
+	comps := g.fairEdgeView().cyclicSCCs(within)
 	var key *Bitset
 	if within != nil {
 		key = within.Clone()

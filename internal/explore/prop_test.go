@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -223,6 +224,83 @@ func TestSCCsAgainstReachOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCyclicSCCsAreFilteredSCCs holds the fair search's decomposition to
+// SCCs: on random graphs of three actions with self-loops, a random fairness
+// mask and a random `within` (or none), the cycle-capable components of the
+// fair-edge view are exactly its SCCs of two or more nodes or with a
+// self-loop, in the same order, memoized or not; and FairCycle returns the
+// first of all the view's SCCs that admits a fair run.
+func TestCyclicSCCsAreFilteredSCCs(t *testing.T) {
+	multi := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(14)
+		edgeProb := 0.1 + rng.Float64()*0.25
+		out := make([][]Edge, n)
+		for v := 0; v < n; v++ {
+			for w := 0; w < n; w++ {
+				for a := 0; a < 3; a++ {
+					if rng.Float64() < edgeProb/3 {
+						out[v] = append(out[v], Edge{Action: a, To: w})
+					}
+				}
+			}
+		}
+		fair := []bool{true, rng.Intn(2) == 0, rng.Intn(3) == 0}
+		g := newAdjacencyGraph(out, fair)
+		var within *Bitset
+		if rng.Intn(3) > 0 {
+			within, _ = randBitset(rng, n)
+		}
+
+		view := g.fairEdges()
+		all := view.SCCs(within)
+		var want [][]int
+		for _, comp := range all {
+			loop := false
+			for _, e := range out[comp[0]] {
+				loop = loop || e.To == comp[0] && fair[e.Action]
+			}
+			if len(comp) > 1 || loop {
+				want = append(want, comp)
+			}
+		}
+		if len(want) > 1 {
+			multi++
+		}
+		if got := view.cyclicSCCs(within); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: cycle-capable components %v, SCCs filtered %v", seed, got, want)
+		}
+		for round := 0; round < 2; round++ { // computed, then from the memo
+			if got := g.fairSCCs(within); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d round %d: fairSCCs %v, want %v", seed, round, got, want)
+			}
+		}
+
+		var first []int
+		member := NewBitset(n)
+		for _, comp := range all {
+			for _, v := range comp {
+				member.Add(v)
+			}
+			admits := g.hasInternalFairEdge(member, comp) && g.sccAdmitsFairRun(member, comp)
+			for _, v := range comp {
+				member.Remove(v)
+			}
+			if admits {
+				first = comp
+				break
+			}
+		}
+		if got := g.FairCycle(within); !reflect.DeepEqual(got, first) {
+			t.Fatalf("seed %d: FairCycle %v, first admitting SCC %v", seed, got, first)
+		}
+	}
+	if multi < 30 {
+		t.Fatalf("only %d graphs had two or more cycle-capable components", multi)
 	}
 }
 

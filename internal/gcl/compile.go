@@ -24,6 +24,9 @@ type File struct {
 	// came through ParseAndCompile (or set it after Compile). The revision
 	// pipeline keys verdict migration on it.
 	Src string
+	// predOps holds each predicate's raw bytecode, the form its Row links;
+	// the tests interpret it unlinked as the linker's oracle.
+	predOps map[string][]guarded.Op
 }
 
 // Pred returns a declared predicate by name.
@@ -195,7 +198,7 @@ func compile(ast *FileAST, checkBounds func(*compiler, *FileAST, []ActionDecl) e
 	}
 	c.schema = schema
 
-	f := &File{Name: ast.Name, Schema: schema, Preds: map[string]state.Predicate{}, AST: ast}
+	f := &File{Name: ast.Name, Schema: schema, Preds: map[string]state.Predicate{}, AST: ast, predOps: map[string][]guarded.Op{}}
 	for _, d := range ast.Preds {
 		if _, dup := c.preds[d.Name]; dup {
 			return nil, errAt(d.At.Line, d.At.Col, "duplicate predicate %q", d.Name)
@@ -218,6 +221,7 @@ func compile(ast *FileAST, checkBounds func(*compiler, *FileAST, []ActionDecl) e
 		pred := state.Pred(d.Name, func(s state.State) bool { return eval(s) != 0 })
 		if ce.ops != nil {
 			pred.Row = guarded.RowPredicate(ce.ops)
+			f.predOps[d.Name] = ce.ops
 		}
 		f.Preds[d.Name] = pred
 	}

@@ -140,8 +140,9 @@ func FuzzCompile(f *testing.F) {
 // tabulated kernel, the bytecode-only kernel and Program.Successors (the
 // closures) emit the same transitions in the same order, on the program and
 // on its fault composition when it composes (a fault may share an action's
-// name), and that every declared predicate's bytecode agrees with its
-// closure.
+// name), that every guard, assignment and predicate computes the same value
+// linked and raw, and that every declared predicate's bytecode agrees with
+// its closure.
 func checkForms(t *testing.T, file *gcl.File) {
 	t.Helper()
 	progs := []*guarded.Program{file.Program}
@@ -178,6 +179,41 @@ func checkForms(t *testing.T, file *gcl.File) {
 		}
 	}
 	row := make([]int32, file.Schema.NumVars())
+	// Each guard, assignment and predicate runs linked (see guarded.Link)
+	// in the kernel and in Row; it must agree with its raw bytecode.
+	linked := func(what string, raw []guarded.Op) {
+		if raw == nil {
+			return
+		}
+		ops := guarded.Link(raw)
+		err := file.Schema.ForEachState(func(s state.State) bool {
+			for i := range row {
+				row[i] = int32(s.Get(i))
+			}
+			if got, want := guarded.Eval(ops, row), guarded.Eval(raw, row); got != want {
+				t.Fatalf("%s at %s: linked %d, raw %d", what, s, got, want)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s: enumerate: %v", what, err)
+		}
+	}
+	for _, p := range progs {
+		for a := 0; a < p.NumActions(); a++ {
+			act := p.Action(a)
+			if act.Compiled == nil {
+				continue
+			}
+			linked(act.Name+" guard", act.Compiled.Guard)
+			for _, as := range act.Compiled.Assigns {
+				linked(act.Name+" assignment", as.Expr)
+			}
+		}
+	}
+	for name, raw := range gcl.PredOps(file) {
+		linked("predicate "+name, raw)
+	}
 	for name, pred := range file.Preds {
 		if pred.Row == nil {
 			continue

@@ -77,11 +77,17 @@ const (
 	OpMod
 )
 
-// Op is one kernel bytecode instruction with its immediates.
+// Op is one kernel bytecode instruction with its immediates. Raw bytecode
+// sets Code, A and B; Neg, Push, C and T belong to the linked ops Link
+// emits (see link.go).
 type Op struct {
 	Code OpCode
+	Neg  bool
+	Push int8
 	A    int32
 	B    int32
+	C    int32
+	T    int32
 }
 
 // CompiledAssign is one lowered assignment of an action statement: variable
@@ -107,8 +113,9 @@ type CompiledAction struct {
 	Assigns []CompiledAssign
 }
 
-// evalOps runs the expression machine on a row. stack must have capacity for
-// the expression's maximal depth (Kernel sizes it at Compile time).
+// evalOps runs the expression machine on a row: raw bytecode and linked
+// streams alike. stack must have capacity for the raw expression's maximal
+// depth (Kernel sizes it at Compile time).
 //
 //dc:zeroalloc
 func evalOps(ops []Op, row []int32, stack []int) int {
@@ -137,6 +144,39 @@ func evalOps(ops []Op, row []int32, stack []int) int {
 				i += int(op.A)
 			} else {
 				sp--
+			}
+		case opEqVar:
+			stack[sp] = b2i((int(row[op.A]) == int(row[op.B])+int(op.C)) != op.Neg)
+			sp++
+		case opLtVar:
+			stack[sp] = b2i((int(row[op.A]) < int(row[op.B])+int(op.C)) != op.Neg)
+			sp++
+		case opEqConst:
+			stack[sp] = b2i((row[op.A] == op.C) != op.Neg)
+			sp++
+		case opLtConst:
+			stack[sp] = b2i((row[op.A] < op.C) != op.Neg)
+			sp++
+		case opBrEqVar:
+			if (int(row[op.A]) == int(row[op.B])+int(op.C)) != op.Neg {
+				i, sp = op.take(stack, sp)
+			}
+		case opBrLtVar:
+			if (int(row[op.A]) < int(row[op.B])+int(op.C)) != op.Neg {
+				i, sp = op.take(stack, sp)
+			}
+		case opBrEqConst:
+			if (row[op.A] == op.C) != op.Neg {
+				i, sp = op.take(stack, sp)
+			}
+		case opBrLtConst:
+			if (row[op.A] < op.C) != op.Neg {
+				i, sp = op.take(stack, sp)
+			}
+		case opBrTop:
+			sp--
+			if (stack[sp] != 0) != op.Neg {
+				i, sp = op.take(stack, sp)
 			}
 		default:
 			sp--
@@ -176,6 +216,19 @@ func evalOps(ops []Op, row []int32, stack []int) int {
 	return stack[0]
 }
 
+// take is a linked branch taken: it pushes Push unless that is -1 and
+// returns the op index before T, where the interpreter loop continues, with
+// the new stack pointer.
+//
+//dc:zeroalloc
+func (op *Op) take(stack []int, sp int) (int, int) {
+	if op.Push >= 0 {
+		stack[sp] = int(op.Push)
+		sp++
+	}
+	return int(op.T) - 1, sp
+}
+
 //dc:zeroalloc
 func b2i(b bool) int {
 	if b {
@@ -184,10 +237,11 @@ func b2i(b bool) int {
 	return 0
 }
 
-// opsStackDepth returns the maximal stack depth evalOps needs for ops. A
-// jump counts as the pop of its fall-through path: the skipped operand
-// starts at the depth the jump leaves and ends one above it, where the
-// taken path ends too, so one linear pass is exact.
+// opsStackDepth returns the maximal stack depth evalOps needs for raw ops,
+// and so for their linked stream too (see link.go). A jump counts as the
+// pop of its fall-through path: the skipped operand starts at the depth the
+// jump leaves and ends one above it, where the taken path ends too, so one
+// linear pass is exact.
 //
 //dc:zeroalloc
 func opsStackDepth(ops []Op) int {
@@ -209,10 +263,12 @@ func opsStackDepth(ops []Op) int {
 }
 
 // RowPredicate returns boolean bytecode as a test on value rows: row[i] is
-// variable i's value index, as in a kernel row. The test is safe for
-// concurrent use and allocates nothing for expressions up to 16 deep.
+// variable i's value index, as in a kernel row. The test runs the linked
+// stream, is safe for concurrent use and allocates nothing for expressions
+// up to 16 deep.
 func RowPredicate(ops []Op) func(row []int32) bool {
 	depth := opsStackDepth(ops)
+	ops = Link(ops)
 	return func(row []int32) bool {
 		var inline [16]int
 		stack := inline[:]
@@ -221,6 +277,13 @@ func RowPredicate(ops []Op) func(row []int32) bool {
 		}
 		return evalOps(ops, row, stack) != 0
 	}
+}
+
+// Eval runs bytecode, raw or linked, on a value row and returns its value.
+// It allocates the stack on each call; the kernel and RowPredicate run the
+// same interpreter without allocating.
+func Eval(ops []Op, row []int32) int {
+	return evalOps(ops, row, make([]int, len(ops)+1))
 }
 
 // Succ is one successor emitted by the kernel: the index of the action that
@@ -232,7 +295,7 @@ type Succ struct {
 
 // kact is one action prepared for kernel execution.
 type kact struct {
-	comp  *CompiledAction // nil: fully closure-evaluated
+	comp  *CompiledAction // linked; nil: fully closure-evaluated
 	tab   *table          // non-nil: guard and statement read from a table
 	guard state.Predicate
 	next  func(state.State) []state.State
@@ -298,7 +361,8 @@ type Kernel struct {
 }
 
 // Compile builds the transition kernel for p. GCL-compiled actions execute
-// natively from their CompiledAction bytecode, and every native action
+// natively from their CompiledAction bytecode, linked (see Link), and every
+// native action
 // whose key (see table) spans at most tableLimit points is tabulated; all
 // other actions go through the closure adapter. Compile enumerates no
 // states: a table costs at most tableLimit bytecode evaluations.
@@ -328,7 +392,7 @@ func compile(p *Program, limit int) *Kernel {
 	}
 	for i := range k.acts {
 		a := p.Action(i)
-		k.acts[i] = kact{comp: a.Compiled, guard: a.Guard, next: a.Next, stmt: a.Stmt}
+		k.acts[i] = kact{comp: linkAction(a.Compiled), guard: a.Guard, next: a.Next, stmt: a.Stmt}
 		if c := a.Compiled; c != nil {
 			if d := opsStackDepth(c.Guard); d > k.maxStack {
 				k.maxStack = d
@@ -348,7 +412,7 @@ func compile(p *Program, limit int) *Kernel {
 	}
 	if _, ok := sch.NumStates(); ok && limit > 0 {
 		for i := range k.acts {
-			if c := k.acts[i].comp; c != nil && c.Guard != nil {
+			if c := p.Action(i).Compiled; c != nil && c.Guard != nil {
 				k.acts[i].tab = k.tabulate(c, limit)
 			}
 		}
@@ -356,9 +420,23 @@ func compile(p *Program, limit int) *Kernel {
 	return k
 }
 
-// tabulate builds the table of a native action, or returns nil when its key
-// spans more than limit points or its bytecode does not fit the table's
-// shape (a variable written twice, or a read outside the schema).
+// linkAction returns the action's bytecode linked (see Link), or nil.
+func linkAction(c *CompiledAction) *CompiledAction {
+	if c == nil {
+		return nil
+	}
+	l := &CompiledAction{Guard: Link(c.Guard), Assigns: make([]CompiledAssign, len(c.Assigns))}
+	for i, as := range c.Assigns {
+		as.Expr = Link(as.Expr)
+		l.Assigns[i] = as
+	}
+	return l
+}
+
+// tabulate builds the table of a native action from its raw bytecode, or
+// returns nil when its key spans more than limit points or its bytecode does
+// not fit the table's shape (a variable written twice, or a read outside the
+// schema).
 func (k *Kernel) tabulate(c *CompiledAction, limit int) *table {
 	key := make([]bool, k.nv)
 	written := make([]bool, k.nv)
