@@ -42,11 +42,13 @@ serve-test:
 
 # The incremental re-verification suites under the race detector: the
 # edit-scoped graph-repair difftest (every example system, every scripted
-# edit, byte-identical to a from-scratch build), the revision hammer
-# (program edited mid-swarm, every served verdict checked against ground
-# truth), and the dctl watch edit loop.
+# edit, byte-identical to a from-scratch build, also under an unfair mask),
+# the predicate-set carry-over of a migration, the on-demand in-edge CSR
+# built under contention, the revision hammer (program edited mid-swarm,
+# every served verdict checked against ground truth), and the dctl watch
+# edit loop.
 watch-test:
-	$(GO) test -race -run 'TestRepair|TestMigrate|TestRevise|TestWatch|TestPoll|TestAffectedBySoundness|TestPlanRepair' \
+	$(GO) test -race -run 'TestRepair|TestMigrate|TestInEdges|TestRevise|TestWatch|TestPoll|TestAffectedBySoundness|TestPlanRepair' \
 		./internal/explore/... ./internal/flow ./internal/serve ./internal/watch ./cmd/dctl
 
 # The repo's own analyzer suite (internal/analyzers) over the whole module:
@@ -111,7 +113,8 @@ bench-diff:
 	@grep -o '"Output":"[^"]*"' BENCH_served.json | sed -e 's/^"Output":"//' -e 's/"$$//' | tr -d '\n' | sed 's/\\n/\n/g;s/\\t/\t/g' | grep 'ns/op' || true
 
 # bench-kernel records what one explored state costs in BENCH_kernel.json:
-# one JSON row per operation — ring-7 and Byzantine graph builds, deadlock
+# one JSON row per operation — ring-7 and Byzantine graph builds, the repair
+# of ring 6's graph from true after a one-action guard-narrow edit, deadlock
 # hunts on ring 7 with K = 8 and on ring 7 with its faults, SetOf(Legit)
 # and a fresh-memo fair-cycle search outside Legit over ring 6 with K = 8,
 # and a kernel step sweep of ring 7 — with states, edges, ns/op, allocs/op

@@ -398,6 +398,40 @@ func BenchmarkFindDeadlockRing7Faults(b *testing.B) {
 	}
 }
 
+// repairRing6 prepares a save's repair: the graph of ring 6 with K = 6
+// from true, and the revision a one-action guard-narrow edit makes of the
+// program (the last action's guard g becomes g & !g).
+func repairRing6(b *testing.B) (*explore.Graph, *difftest.Revision) {
+	b.Helper()
+	ed, _ := difftest.StandardEdit("guard-narrow")
+	rev, err := difftest.Revise(difftest.RingSource(6, 6), ed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	old, err := explore.Build(rev.Old.Program, state.True, explore.Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return old, rev
+}
+
+// BenchmarkRepairRing6 repairs the prebuilt graph of ring 6 (K = 6) from
+// true onto a one-action guard-narrow edit: the graph surgery an editor
+// save of that edit pays, without the checks that follow it.
+func BenchmarkRepairRing6(b *testing.B) {
+	old, rev := repairRing6(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := explore.Repair(old, rev.New.Program, rev.Plan.Graph, state.True, explore.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.NumNodes() != old.NumNodes() {
+			b.Fatalf("repair left %d of %d states", g.NumNodes(), old.NumNodes())
+		}
+	}
+}
+
 // BenchmarkSetOfLegitRing6K8 sweeps ring 6 K=8's Legit predicate over its
 // built 262,144-state graph, the SetOf that large-space's convergence check
 // runs. The predicate is unnamed so the per-graph memo never answers.

@@ -28,7 +28,9 @@ import (
 // incremental lane; CompileMS and ReverdictMS split it into compiling the
 // new revision versus the diff/repair/re-verdict pipeline —
 // a service with the revision already registered (dcserved /v1/revise)
-// pays only the latter.
+// pays only the latter. MigrateMS is the part of ReverdictMS that moves
+// the cached graphs onto the new revision (explore.MigrateProgram: the
+// repairs and rebinds).
 type incrRow struct {
 	Bench       string   `json:"bench"`
 	Edit        string   `json:"edit"`
@@ -40,6 +42,7 @@ type incrRow struct {
 	IncrMS      float64  `json:"incr_ms"`
 	CompileMS   float64  `json:"compile_ms"`
 	ReverdictMS float64  `json:"reverdict_ms"`
+	MigrateMS   float64  `json:"migrate_ms"`
 	Speedup     float64  `json:"speedup"`
 	Verdict     string   `json:"verdict"`
 }
@@ -149,7 +152,9 @@ func incrMeasure(b incrBench) (*incrRow, error) {
 		}
 		return state.Predicate{}, false
 	}
+	migrateStart := time.Now()
 	st := explore.MigrateProgram(old.Program, f.Program, plan.Graph, resolve)
+	migrateDur := time.Since(migrateStart)
 	var incrResp *api.Response
 	preserved := serve.Preservable(incrReq, oldResp, plan, im, f)
 	if preserved {
@@ -193,6 +198,7 @@ func incrMeasure(b incrBench) (*incrRow, error) {
 		IncrMS:      float64(incrDur.Microseconds()) / 1e3,
 		CompileMS:   float64(compileDur.Microseconds()) / 1e3,
 		ReverdictMS: float64((incrDur - compileDur).Microseconds()) / 1e3,
+		MigrateMS:   float64(migrateDur.Microseconds()) / 1e3,
 		Speedup:     float64(fullDur) / float64(incrDur),
 		Verdict:     incrResp.Verdict,
 	}, nil

@@ -1,8 +1,9 @@
 package main
 
 // The -kernel sweep records what one explored state costs: graph builds,
-// deadlock hunts, a predicate sweep and a fair-cycle search over a built
-// graph, and the raw kernel step. Each row runs its operation once to warm
+// the repair of a built graph after a one-action edit, deadlock hunts, a
+// predicate sweep and a fair-cycle search over a built graph, and the raw
+// kernel step. Each row runs its operation once to warm
 // up, then n times, and prints one JSON line: the states (and edges) one
 // operation covers, its time and allocations, and states per second. The
 // root package's benchmarks of the same names (`go test -bench`) measure
@@ -73,6 +74,27 @@ func kernelBenches() []kernelBench {
 		}},
 		{"BuildByzMaskingSeq", func() (kernelOp, error) {
 			return buildOp(byzagree.MustNew().Masking), nil
+		}},
+		{"RepairRing6", func() (kernelOp, error) {
+			// A save's graph surgery: ring 6 (K = 6) from true, repaired
+			// onto a one-action guard-narrow edit (the last guard g
+			// becomes g & !g).
+			ed, _ := difftest.StandardEdit("guard-narrow")
+			rev, err := difftest.Revise(difftest.RingSource(6, 6), ed)
+			if err != nil {
+				return nil, err
+			}
+			old, err := explore.Build(rev.Old.Program, state.True, explore.Options{Parallelism: 1})
+			if err != nil {
+				return nil, err
+			}
+			return func() (int, int, error) {
+				g, err := explore.Repair(old, rev.New.Program, rev.Plan.Graph, state.True, explore.Options{})
+				if err != nil {
+					return 0, 0, err
+				}
+				return g.NumNodes(), g.NumEdges(), nil
+			}, nil
 		}},
 		{"FindDeadlockRing7K8", func() (kernelOp, error) {
 			f, err := gcl.ParseAndCompile(difftest.RingSource(7, 8))

@@ -417,6 +417,7 @@ func assemble(k *guarded.Kernel, fair []bool, exps []expansion) *Graph {
 		n:       n,
 		vals:    make([]int32, n*nv),
 		idxs:    make([]uint64, n),
+		in:      new(inCSR),
 		fair:    fair,
 		numActs: k.NumActions(),
 		memo:    newGraphMemo(),
@@ -461,7 +462,6 @@ func assemble(k *guarded.Kernel, fair []bool, exps []expansion) *Graph {
 			g.outEdges[int(base)+j] = Edge{Action: int(tr.Action), To: resolve(tr.To)}
 		}
 	}
-	g.buildIn()
 	// Per-action enabledness and the deadlock set, straight off the arena.
 	sc := k.NewScratch()
 	g.enabled = make([]*Bitset, g.numActs)

@@ -364,6 +364,16 @@ func TestPathBetweenEdgeCases(t *testing.T) {
 		t.Errorf("empty from: got path %v ok=%v, want nil,false", path, ok)
 	}
 
+	// An empty goal needs no search: a deadlock-free graph's deadlock
+	// question, from every node, allocates nothing.
+	if path, ok := g.PathBetween(g.All(), empty, nil); ok || path != nil {
+		t.Errorf("empty goal: got path %v ok=%v, want nil,false", path, ok)
+	}
+	all := g.All()
+	if allocs := testing.AllocsPerRun(10, func() { g.PathBetween(all, empty, nil) }); allocs != 0 {
+		t.Errorf("empty goal: PathBetween allocated %.0f times, want 0", allocs)
+	}
+
 	// from nonempty but entirely outside within — same early exit.
 	from := NewBitset(g.NumNodes())
 	from.Add(mustNode(t, g, 1))

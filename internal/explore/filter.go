@@ -6,11 +6,13 @@ package explore
 //
 //dc:mutates Graph
 
-// filterEdges builds a view of the graph keeping only the out-edges for
-// which keep returns true, sharing the state arena, enabledness bitsets, and
-// fairness mask. The in-edge CSR is rebuilt only when withIn is set; callers
-// that never consult In (the fairness SCC pass) skip it.
-func (g *Graph) filterEdges(keep func(from int, e Edge) bool, withIn bool) *Graph {
+// FilterEdges returns a view of the graph with the same node set but keeping
+// only the edges for which keep returns true. The filtered graph shares the
+// underlying state arena and the precomputed enabledness/deadlock bitsets:
+// filtering restricts which transitions may recur, not which actions exist,
+// which is what the refinement and detector checks need. Its in-edges are
+// its own, built on its first In call.
+func (g *Graph) FilterEdges(keep func(from int, e Edge) bool) *Graph {
 	ng := *g
 	// The view's edge set differs, so none of the parent's memoized
 	// artifacts apply to it; give it a fresh memo rather than an alias.
@@ -34,28 +36,16 @@ func (g *Graph) filterEdges(keep func(from int, e Edge) bool, withIn bool) *Grap
 		}
 	}
 	ng.outOff, ng.outEdges = off, edges
-	if withIn {
-		ng.buildIn()
-	} else {
-		ng.inOff, ng.inEdges = nil, nil
-	}
+	ng.in = new(inCSR)
 	return &ng
-}
-
-// FilterEdges returns a view of the graph with the same node set but keeping
-// only the edges for which keep returns true. The filtered graph shares the
-// underlying state arena and the precomputed enabledness/deadlock bitsets:
-// filtering restricts which transitions may recur, not which actions exist,
-// which is what the refinement and detector checks need.
-func (g *Graph) FilterEdges(keep func(from int, e Edge) bool) *Graph {
-	return g.filterEdges(keep, true)
 }
 
 // RestrictFair returns a view of the graph where only the actions accepted
 // by keep are treated as fair (subject to weak fairness and counted for
-// maximality). Edges are unchanged; the deadlock set is recomputed from the
-// shared per-action enabledness bitsets, since deadlock means "no enabled
-// fair action" and the fair set just changed.
+// maximality). Edges are unchanged, so the view shares the in-edge CSR; the
+// deadlock set is recomputed from the shared per-action enabledness bitsets,
+// since deadlock means "no enabled fair action" and the fair set just
+// changed.
 func (g *Graph) RestrictFair(keep func(action int) bool) *Graph {
 	ng := *g
 	// Fairness feeds the deadlock set, fair SCCs, and liveness verdicts;

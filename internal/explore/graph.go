@@ -9,8 +9,8 @@ import (
 	"detcorr/internal/state"
 )
 
-// buildIn and newAdjacencyGraph below fill Graph arenas; this file is a
-// sanctioned builder.
+// newAdjacencyGraph below fills Graph arenas; this file is a sanctioned
+// builder.
 //
 //dc:mutates Graph
 
@@ -30,7 +30,8 @@ type Edge struct {
 // views; out- and in-edges are flat slices indexed by per-node offset
 // arrays; and per-action enabledness is precomputed into bitsets during
 // assembly, so Deadlocked, the fairness engine, and the SCC passes never
-// re-evaluate guards.
+// re-evaluate guards. The in-edge CSR is derived from the out-edges on the
+// first In call: few checks walk edges backwards.
 //
 // Graphs are write-once: after assembly they are shared across the cache,
 // across goroutines, and across memoized derived artifacts, so field
@@ -49,8 +50,7 @@ type Graph struct {
 
 	outOff   []uint32 // n+1 offsets into outEdges
 	outEdges []Edge
-	inOff    []uint32 // n+1 offsets into inEdges
-	inEdges  []Edge
+	in       *inCSR // built on first use; shared by views with the same edges
 
 	fair    []bool // fair[a]: action a is subject to weak fairness and counts for maximality
 	numActs int
@@ -167,28 +167,42 @@ func BuildCtx(ctx context.Context, p *guarded.Program, init state.Predicate, opt
 	return assemble(k, append([]bool(nil), fair...), exps), nil
 }
 
-// buildIn constructs the in-edge CSR with a counting pass. Iterating sources
-// in ascending id order makes each in-list ordered by source id (and, within
-// one source, by out-edge position), exactly as the previous per-edge append
-// construction did — the determinism contract covers in-lists too.
-func (g *Graph) buildIn() {
-	counts := make([]uint32, g.n+1)
-	for i := range g.outEdges {
-		counts[g.outEdges[i].To+1]++
-	}
-	for i := 0; i < g.n; i++ {
-		counts[i+1] += counts[i]
-	}
-	g.inOff = counts
-	g.inEdges = make([]Edge, len(g.outEdges))
-	cursor := make([]uint32, g.n)
-	copy(cursor, g.inOff[:g.n])
-	for v := 0; v < g.n; v++ {
-		for _, e := range g.Out(v) {
-			g.inEdges[cursor[e.To]] = Edge{Action: e.Action, To: v}
-			cursor[e.To]++
+// inCSR is a graph's in-edge CSR, built from its out-edges the first time
+// In is called. Graphs hold it by pointer so that views sharing the
+// out-edges (a rebind, RestrictFair) share one build, while a view with
+// other edges (FilterEdges) gets its own.
+type inCSR struct {
+	once  sync.Once
+	off   []uint32 // n+1 offsets into edges
+	edges []Edge
+}
+
+// inEdges returns the in-edge CSR, building it on first use. A counting
+// pass over sources in ascending id order makes each in-list ordered by
+// source id (and, within one source, by out-edge position) — the
+// determinism contract covers in-lists too.
+func (g *Graph) inEdges() *inCSR {
+	in := g.in
+	in.once.Do(func() {
+		off := make([]uint32, g.n+1)
+		for i := range g.outEdges {
+			off[g.outEdges[i].To+1]++
 		}
-	}
+		for i := 0; i < g.n; i++ {
+			off[i+1] += off[i]
+		}
+		edges := make([]Edge, len(g.outEdges))
+		cursor := make([]uint32, g.n)
+		copy(cursor, off[:g.n])
+		for v := 0; v < g.n; v++ {
+			for _, e := range g.Out(v) {
+				edges[cursor[e.To]] = Edge{Action: e.Action, To: v}
+				cursor[e.To]++
+			}
+		}
+		in.off, in.edges = off, edges
+	})
+	return in
 }
 
 // Program returns the program the graph was built from.
@@ -236,8 +250,12 @@ func (g *Graph) NodeOf(s state.State) (int, bool) {
 func (g *Graph) Out(id int) []Edge { return g.outEdges[g.outOff[id]:g.outOff[id+1]] }
 
 // In returns the incoming edges of node id (Edge.To holds the source). The
-// returned slice must not be modified.
-func (g *Graph) In(id int) []Edge { return g.inEdges[g.inOff[id]:g.inOff[id+1]] }
+// returned slice must not be modified. The first call builds the graph's
+// in-edge CSR; it is safe for concurrent use.
+func (g *Graph) In(id int) []Edge {
+	in := g.inEdges()
+	return in.edges[in.off[id]:in.off[id+1]]
+}
 
 // FairAction reports whether action a is subject to weak fairness.
 func (g *Graph) FairAction(a int) bool { return g.fair[a] }
@@ -346,10 +364,14 @@ var parentPool = sync.Pool{New: func() any { return new([]int) }}
 
 // PathBetween returns a state path (BFS, shortest) from any node in `from`
 // to any node in `goal`, moving only through `within` (nil = all). It
-// reports false when no such path exists. An empty (or fully out-of-within)
-// `from` returns early without allocating; a goal node inside `from` yields
-// a single-state path.
+// reports false when no such path exists. An empty `goal`, or an empty (or
+// fully out-of-within) `from`, returns early without allocating — a
+// deadlock-free graph's deadlock question needs no search; a goal node
+// inside `from` yields a single-state path.
 func (g *Graph) PathBetween(from, goal *Bitset, within *Bitset) ([]state.State, bool) {
+	if goal.Empty() {
+		return nil, false
+	}
 	var queue []int
 	from.ForEach(func(id int) bool {
 		if within == nil || within.Has(id) {
@@ -426,9 +448,8 @@ func csrFromLists(out [][]Edge) ([]uint32, []Edge) {
 // the graph algorithms on arbitrary shapes. Every action is enabled
 // everywhere and nothing is deadlocked.
 func newAdjacencyGraph(out [][]Edge, fair []bool) *Graph {
-	g := &Graph{n: len(out), fair: fair, numActs: len(fair), memo: newGraphMemo()}
+	g := &Graph{n: len(out), in: new(inCSR), fair: fair, numActs: len(fair), memo: newGraphMemo()}
 	g.outOff, g.outEdges = csrFromLists(out)
-	g.buildIn()
 	g.enabled = make([]*Bitset, g.numActs)
 	for a := range g.enabled {
 		g.enabled[a] = NewBitset(g.n)

@@ -132,6 +132,27 @@ func (g *Graph) memoSetOf(p state.Predicate) (*Bitset, bool) {
 	return b.Clone(), true
 }
 
+// carrySets copies into g's memo the predicate sets that old has memoized
+// under a name keep approves, sharing the bitsets (memoized sets are never
+// mutated; SetOf hands out clones). It is sound only when keep approves
+// exactly the names whose extension is the same for both graphs' programs,
+// and it does nothing unless g shares old's node arena — the same states
+// under the same ids.
+func (g *Graph) carrySets(old *Graph, keep func(name string) bool) {
+	if g.memo == nil || old.memo == nil || g.n != old.n || (g.n > 0 && &g.idxs[0] != &old.idxs[0]) {
+		return
+	}
+	old.memo.setMu.Lock()
+	defer old.memo.setMu.Unlock()
+	g.memo.setMu.Lock()
+	defer g.memo.setMu.Unlock()
+	for name, b := range old.memo.sets {
+		if keep(name) {
+			g.memo.sets[name] = b
+		}
+	}
+}
+
 // memoReach serves unrestricted (within == nil) reachability queries from a
 // small content-keyed LRU, cloning both the stored key and the returned set
 // so callers that mutate their inputs or results never corrupt the memo.
@@ -206,7 +227,7 @@ func (g *Graph) fairEdgeView() *Graph {
 func (g *Graph) fairEdges() *Graph {
 	for _, fair := range g.fair {
 		if !fair {
-			return g.filterEdges(func(from int, e Edge) bool { return g.fair[e.Action] }, false)
+			return g.FilterEdges(func(from int, e Edge) bool { return g.fair[e.Action] })
 		}
 	}
 	return g

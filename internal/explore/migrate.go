@@ -26,6 +26,13 @@ type MigrateStats struct {
 // the correct degraded behavior for edits repair cannot model (variable
 // changes).
 //
+// A migrated graph with the old node set (a rebind, or a repair that
+// neither discovered nor dropped a state) also keeps the old graph's
+// memoized predicate sets for "true" and every name resolve approves: the
+// same states and the same extension give the same set. Nothing else in
+// the memo carries over — reachability, components and liveness depend on
+// the edges.
+//
 // Old entries are detached first under the cache lock; repairs run outside
 // it so concurrent Shared callers are never blocked on graph surgery. If a
 // fresh build for the new key races the migration and lands first, the
@@ -54,6 +61,9 @@ func MigrateProgram(oldProg, newProg *guarded.Program, plan *RepairPlan, resolve
 
 	identity := plan.Identity()
 	for _, e := range moved {
+		// The mask the new graph is built and keyed under: the old key's,
+		// position by position, over the new action count.
+		fair := fairFromKey(e.key.fair, newProg.NumActions())
 		var ng *Graph
 		rebound := false
 		switch {
@@ -71,7 +81,7 @@ func MigrateProgram(oldProg, newProg *guarded.Program, plan *RepairPlan, resolve
 			if !ok {
 				break
 			}
-			g, err := Repair(e.g, newProg, plan, init, Options{Fair: fairFromKey(e.key.fair, newProg.NumActions())})
+			g, err := Repair(e.g, newProg, plan, init, Options{Fair: fair})
 			if err == nil {
 				ng = g
 			}
@@ -80,7 +90,14 @@ func MigrateProgram(oldProg, newProg *guarded.Program, plan *RepairPlan, resolve
 			st.Dropped++
 			continue
 		}
-		if !insertMigrated(cacheKey{prog: newProg, init: e.key.init, fair: e.key.fair, max: e.key.max}, ng) {
+		ng.carrySets(e.g, func(name string) bool {
+			if name == state.True.String() {
+				return true
+			}
+			_, ok := resolve(name)
+			return ok
+		})
+		if !insertMigrated(cacheKey{prog: newProg, init: e.key.init, fair: fairKeyOf(fair), max: e.key.max}, ng) {
 			st.Dropped++
 			continue
 		}
@@ -94,7 +111,8 @@ func MigrateProgram(oldProg, newProg *guarded.Program, plan *RepairPlan, resolve
 }
 
 // fairFromKey reconstructs a fairness mask from its cache-key encoding
-// ("" = all fair).
+// ("" = all fair) over numActs actions: actions past the key's length are
+// unfair.
 func fairFromKey(key string, numActs int) []bool {
 	if key == "" {
 		return nil

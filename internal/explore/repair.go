@@ -1,13 +1,13 @@
 package explore
 
 // Edit-scoped CSR repair: given the graph of a program's previous revision
-// and a per-action edit plan, Repair re-derives the new revision's graph by
-// copying every edge owned by an unchanged action and re-expanding only the
-// actions the edit touched, then re-runs canonical renumbering only when
-// reachability actually changed. The result is structurally identical to a
-// from-scratch Build of the new program — the repair difftest
-// (internal/explore/difftest.CheckRepair) holds it to that contract across
-// every example system and a scripted edit set.
+// and a per-action edit plan, Repair writes the new revision's CSR straight
+// from the old one — the edges of unchanged actions are copied run by run,
+// and only the actions the edit touched are evaluated — then re-runs
+// canonical renumbering only when the node set actually changed. The result
+// is structurally identical to a from-scratch Build of the new program — the
+// repair difftest (internal/explore/difftest.CheckRepair) holds it to that
+// contract across every example system and a scripted edit set.
 //
 // The soundness argument (DESIGN.md §3j) rests on three facts:
 //
@@ -19,7 +19,9 @@ package explore
 //     candidate lands in a candidate (unchanged actions reproduce old
 //     edges; edited actions are re-expanded and their targets enqueued), so
 //     a forward closure from the seeds inside the candidate set computes
-//     the exact new node set.
+//     the exact new node set. The closure is needed only when some old
+//     edge disappeared and some old node is not a seed: otherwise every
+//     old node is still reached, and so is every state discovered from one.
 //  3. Out-edges are emitted per node in action-index order and, within one
 //     action, in kernel enumeration order — the same discipline assemble
 //     follows — so after renumbering the arenas match a fresh build's.
@@ -160,7 +162,7 @@ func Repair(old *Graph, newProg *guarded.Program, plan *RepairPlan, init state.P
 	if plan.Identity() {
 		return old.rebind(k, fair), nil
 	}
-	return repair(old, k, plan, init, fair)
+	return repair(old, k, plan, init, fair), nil
 }
 
 // rebind shares every arena of the old graph under the new program: an
@@ -178,8 +180,7 @@ func (old *Graph) rebind(k *guarded.Kernel, fair []bool) *Graph {
 		idxs:     old.idxs,
 		outOff:   old.outOff,
 		outEdges: old.outEdges,
-		inOff:    old.inOff,
-		inEdges:  old.inEdges,
+		in:       old.in,
 		fair:     fair,
 		numActs:  old.numActs,
 		enabled:  old.enabled,
@@ -189,26 +190,88 @@ func (old *Graph) rebind(k *guarded.Kernel, fair []bool) *Graph {
 	return g
 }
 
-// repair is the non-identity path: per-node edge rewrite, frontier BFS over
-// newly discovered states, forward closure from the (unchanged) seed set,
-// and assembly — arena-sharing when the node set survived intact, canonical
-// merge renumbering when it did not.
-func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicate, fair []bool) (*Graph, error) {
-	sch := k.Schema()
-	sc := k.NewScratch()
-	nv := old.nv
-	oldN := old.n
-	newNA := k.NumActions()
+// repairStep is one step of the per-node edge rewrite: either a run of
+// consecutive clean new actions [j0, j1) whose old indices [o0, o0+j1-j0)
+// are consecutive too — at every node their old edges form one contiguous
+// run of the old list — or a single dirty action j0 with old index o0 (-1
+// for an added action).
+type repairStep struct {
+	dirt   ActionDirt
+	j0, j1 int
+	o0     int
+}
 
-	// Phase 1: rewrite every old node's out-edge list under the new action
-	// set, in new-action-index order. Targets stay as mixed-radix state
-	// indices until ids are final. removedAny tracks whether any edge that
-	// existed before could have disappeared — only then can reachability
-	// shrink and only then is the forward closure needed.
-	succ := make([]guarded.Succ, 0, len(old.outEdges)+newNA)
-	offs := make([]int, oldN+1)
-	spanStart := make([]int32, old.numActs)
-	spanEnd := make([]int32, old.numActs)
+// repairSteps groups the plan's new actions into steps.
+func repairSteps(plan *RepairPlan) []repairStep {
+	var steps []repairStep
+	for j, oj := range plan.OldIndex {
+		dirt := ActionFullDirty
+		if oj >= 0 {
+			dirt = plan.Dirt[j]
+		}
+		if n := len(steps); dirt == ActionClean && n > 0 {
+			last := &steps[n-1]
+			if last.dirt == ActionClean && last.o0+last.j1-last.j0 == oj {
+				last.j1++
+				continue
+			}
+		}
+		steps = append(steps, repairStep{dirt: dirt, j0: j, j1: j + 1, o0: oj})
+	}
+	return steps
+}
+
+// appendRun appends a run of old edges relabeled to new action indices
+// (new = old + shift); a run whose actions did not move is one copy.
+func appendRun(dst, run []Edge, shift int) []Edge {
+	if shift == 0 {
+		return append(dst, run...)
+	}
+	for _, e := range run {
+		dst = append(dst, Edge{Action: e.Action + shift, To: e.To})
+	}
+	return dst
+}
+
+// candidates numbers repair's candidate states: old nodes keep their ids,
+// and states discovered through edited actions follow at oldN + discovery
+// order.
+type candidates struct {
+	old   *Graph
+	whole bool // the old graph holds every state of the schema: id = index
+	found map[uint64]int
+	fresh []uint64 // discovered states in discovery order; the BFS queue
+}
+
+// id resolves a state index to its candidate id, discovering it if needed.
+func (c *candidates) id(idx uint64) int {
+	if c.whole {
+		return int(idx)
+	}
+	if id, ok := c.old.idOf(idx); ok {
+		return id
+	}
+	q, ok := c.found[idx]
+	if !ok {
+		q = len(c.fresh)
+		c.found[idx] = q
+		c.fresh = append(c.fresh, idx)
+	}
+	return c.old.n + q
+}
+
+// repair is the non-identity path: per-node edge rewrite into candidate
+// ids, frontier BFS over newly discovered states, forward closure from the
+// (unchanged) seed set when reachability may have shrunk, and assembly —
+// phase 1's arrays are the graph when the node set survived intact, and
+// are relabeled into the canonical numbering when it did not.
+func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicate, fair []bool) *Graph {
+	sc := k.NewScratch()
+	nv, oldN, newNA := old.nv, old.n, k.NumActions()
+	total, _ := k.Schema().NumStates()
+	c := &candidates{old: old, whole: uint64(oldN) == total, found: map[uint64]int{}}
+	steps := repairSteps(plan)
+
 	// An old action with no clean or guard-dirty image in the plan (removed,
 	// or replaced by a full re-expansion) loses its old edges wholesale;
 	// reachability can only shrink when some edge disappears.
@@ -226,322 +289,236 @@ func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicat
 		}
 	}
 
-	// Newly discovered states: anything an edited action reaches that the
-	// old graph does not contain.
-	newID := map[uint64]int{}
-	var newIdxs []uint64
-	discover := func(to uint64) {
-		if _, ok := old.idOf(to); ok {
-			return
+	// Clean actions keep sharing the old enabled bitsets (an unchanged
+	// guard over unchanged states); a dirty action's bitset over the old
+	// nodes is filled as phase 1 evaluates its guard.
+	enabled := make([]*Bitset, newNA)
+	for _, s := range steps {
+		if s.dirt == ActionClean {
+			for j := s.j0; j < s.j1; j++ {
+				enabled[j] = old.enabled[s.o0+j-s.j0]
+			}
+		} else {
+			enabled[s.j0] = NewBitset(oldN)
 		}
-		if _, ok := newID[to]; ok {
-			return
-		}
-		newID[to] = len(newIdxs)
-		newIdxs = append(newIdxs, to)
 	}
 
+	// Phase 1: rewrite every old node's out-edge list under the new action
+	// set, in new-action-index order, with targets as candidate ids.
+	edges := make([]Edge, 0, len(old.outEdges))
+	offs := make([]uint32, oldN+1)
+	pos := make([]int, old.numActs+1) // pos[a]: first edge of the node with action >= a
+	var buf []guarded.Succ
+	expand := func(i, j int) {
+		buf = sc.TransitionsOf(old.idxs[i], j, buf[:0])
+		for _, t := range buf {
+			edges = append(edges, Edge{Action: j, To: c.id(t.To)})
+		}
+	}
 	for i := 0; i < oldN; i++ {
 		row := old.vals[i*nv : (i+1)*nv]
 		oldOut := old.Out(i)
-		for a := range spanStart {
-			spanStart[a] = -1
-		}
-		for ei := 0; ei < len(oldOut); {
-			a := oldOut[ei].Action
-			j := ei + 1
-			for j < len(oldOut) && oldOut[j].Action == a {
-				j++
+		p := 0
+		for a := range pos {
+			for p < len(oldOut) && oldOut[p].Action < a {
+				p++
 			}
-			spanStart[a], spanEnd[a] = int32(ei), int32(j)
-			ei = j
+			pos[a] = p
 		}
-		for j := 0; j < newNA; j++ {
-			oj := plan.OldIndex[j]
-			dirt := ActionFullDirty
-			if oj >= 0 {
-				dirt = plan.Dirt[j]
-			}
-			switch dirt {
+		for _, s := range steps {
+			switch s.dirt {
 			case ActionClean:
-				if s := spanStart[oj]; s >= 0 {
-					for _, e := range oldOut[s:spanEnd[oj]] {
-						succ = append(succ, guarded.Succ{Action: int32(j), To: old.idxs[e.To]})
-					}
-				}
+				edges = appendRun(edges, oldOut[pos[s.o0]:pos[s.o0+s.j1-s.j0]], s.j0-s.o0)
 			case ActionGuardDirty:
-				enabledNow := sc.EnabledOnRow(row, j)
-				enabledBefore := old.Enabled(i, oj)
+				now, before := sc.EnabledOnRow(row, s.j0), old.enabled[s.o0].Has(i)
 				switch {
-				case enabledNow && enabledBefore:
+				case now && before:
 					// Same assignments, enabled in both revisions: the
 					// old targets (and their kernel order) carry over.
-					if s := spanStart[oj]; s >= 0 {
-						for _, e := range oldOut[s:spanEnd[oj]] {
-							succ = append(succ, guarded.Succ{Action: int32(j), To: old.idxs[e.To]})
-						}
-					}
-				case enabledNow:
-					pre := len(succ)
-					succ = sc.TransitionsOf(old.idxs[i], j, succ)
-					for _, t := range succ[pre:] {
-						discover(t.To)
-					}
-				case enabledBefore:
+					edges = appendRun(edges, oldOut[pos[s.o0]:pos[s.o0+1]], s.j0-s.o0)
+				case now:
+					expand(i, s.j0)
+				case before:
 					removedAny = true
+				}
+				if now {
+					enabled[s.j0].Add(i)
 				}
 			default: // ActionFullDirty, or an added action
 				// (Removal accounting: a full-dirty mapped action left
 				// imaged[] false above, so removedAny already covers it.)
-				if sc.EnabledOnRow(row, j) {
-					pre := len(succ)
-					succ = sc.TransitionsOf(old.idxs[i], j, succ)
-					for _, t := range succ[pre:] {
-						discover(t.To)
-					}
+				if sc.EnabledOnRow(row, s.j0) {
+					enabled[s.j0].Add(i)
+					expand(i, s.j0)
 				}
 			}
 		}
-		offs[i+1] = len(succ)
+		offs[i+1] = uint32(len(edges))
 	}
 
 	// Phase 2: frontier BFS over the newly discovered states with the full
-	// new kernel — these states have no old edges to reuse. newIdxs is the
-	// queue; discover appends to it.
-	var newSucc []guarded.Succ
-	newOffs := make([]int, 1, len(newIdxs)+1)
-	for qi := 0; qi < len(newIdxs); qi++ {
-		pre := len(newSucc)
-		newSucc = sc.Transitions(newIdxs[qi], newSucc)
-		for _, t := range newSucc[pre:] {
-			discover(t.To)
+	// new kernel — these states have no old edges to reuse. c.fresh is the
+	// queue; resolving a target appends to it.
+	var freshEdges []Edge
+	freshOffs := []uint32{0}
+	for q := 0; q < len(c.fresh); q++ {
+		buf = sc.Transitions(c.fresh[q], buf[:0])
+		for _, t := range buf {
+			freshEdges = append(freshEdges, Edge{Action: int(t.Action), To: c.id(t.To)})
 		}
-		newOffs = append(newOffs, len(newSucc))
+		freshOffs = append(freshOffs, uint32(len(freshEdges)))
 	}
-	m := len(newIdxs)
-
-	// Candidate-space id resolution: old node ids stay put, discovered
-	// states follow at oldN + discovery order. Mirror assemble's LUT
-	// heuristic — when the schema is not much larger than the candidate
-	// set a flat table beats per-edge binary search.
-	cand := oldN + m
-	total, _ := sch.NumStates()
-	var lut []int32
-	if total <= 16*uint64(cand)+(1<<16) {
-		lut = make([]int32, total)
-		for i := range lut {
-			lut[i] = -1
-		}
-		for i, idx := range old.idxs {
-			lut[idx] = int32(i)
-		}
-		for q, idx := range newIdxs {
-			lut[idx] = int32(oldN + q)
-		}
-	}
-	resolve := func(idx uint64) int {
-		if lut != nil {
-			if id := lut[idx]; id >= 0 {
-				return int(id)
-			}
-		} else if id, ok := old.idOf(idx); ok {
-			return id
-		} else if q, ok := newID[idx]; ok {
-			return oldN + q
-		}
-		panic(fmt.Sprintf("explore: repair edge target %d not among candidate states", idx))
-	}
-	edgesOf := func(id int) []guarded.Succ {
+	edgesOf := func(id int) []Edge {
 		if id < oldN {
-			return succ[offs[id]:offs[id+1]]
+			return edges[offs[id]:offs[id+1]]
 		}
 		q := id - oldN
-		return newSucc[newOffs[q]:newOffs[q+1]]
+		return freshEdges[freshOffs[q]:freshOffs[q+1]]
 	}
 
 	// Phase 3: forward closure from the seeds. The init extension is
 	// unchanged by contract and old graphs contain every init state, so
 	// the seed set is exactly the old graph's init set — evaluated through
 	// the old graph's (possibly memoized) SetOf, never by scanning the
-	// index space. When no edge was removed, reachability cannot have
-	// shrunk and the closure is skipped: every candidate is reachable.
-	alive := NewBitset(cand)
-	aliveCount := 0
-	if !removedAny {
-		alive.Fill()
-		aliveCount = cand
-	} else {
-		var stack []int
-		old.SetOf(init).ForEach(func(id int) bool {
-			alive.Add(id)
-			stack = append(stack, id)
-			return true
-		})
-		aliveCount = len(stack)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range edgesOf(id) {
-				t := resolve(e.To)
-				if !alive.Has(t) {
-					alive.Add(t)
-					aliveCount++
-					stack = append(stack, t)
+	// index space. When no edge was removed, or every old node is a seed
+	// (always so for a graph from true), every candidate stays reachable
+	// and alive stays nil.
+	var alive *Bitset
+	aliveCount := oldN + len(c.fresh)
+	if removedAny {
+		if seeds := old.SetOf(init); seeds.Count() < oldN {
+			alive = NewBitset(oldN + len(c.fresh))
+			var stack []int
+			seeds.ForEach(func(id int) bool {
+				alive.Add(id)
+				stack = append(stack, id)
+				return true
+			})
+			aliveCount = len(stack)
+			for len(stack) > 0 {
+				id := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, e := range edgesOf(id) {
+					if !alive.Has(e.To) {
+						alive.Add(e.To)
+						aliveCount++
+						stack = append(stack, e.To)
+					}
 				}
 			}
 		}
 	}
 
-	if aliveCount == oldN && m == 0 {
-		return repairInPlace(old, k, plan, fair, succ, offs, resolve), nil
-	}
-	return repairRenumber(old, k, fair, succ, offs, newSucc, newOffs, newIdxs, alive, aliveCount, resolve, edgesOf), nil
-}
-
-// repairInPlace assembles the repaired graph when the node set is exactly
-// the old one: state arenas are shared, clean actions share their enabled
-// bitsets, and only the rewritten edges and the dirty actions' enabledness
-// are recomputed.
-func repairInPlace(old *Graph, k *guarded.Kernel, plan *RepairPlan, fair []bool, succ []guarded.Succ, offs []int, resolve func(uint64) int) *Graph {
-	sch := k.Schema()
-	nv := old.nv
-	n := old.n
-	newNA := k.NumActions()
-	g := &Graph{
-		prog:    k.Program(),
-		schema:  sch,
-		nv:      nv,
-		n:       n,
-		vals:    old.vals,
-		idxs:    old.idxs,
-		fair:    fair,
-		numActs: newNA,
-		memo:    newGraphMemo(),
-	}
-	g.outOff = make([]uint32, n+1)
-	for i := 0; i < n; i++ {
-		g.outOff[i+1] = uint32(offs[i+1])
-	}
-	g.outEdges = make([]Edge, len(succ))
-	for i, tr := range succ {
-		g.outEdges[i] = Edge{Action: int(tr.Action), To: resolve(tr.To)}
-	}
-	g.buildIn()
-	sc := k.NewScratch()
-	g.enabled = make([]*Bitset, newNA)
-	for j := 0; j < newNA; j++ {
-		if oj := plan.OldIndex[j]; oj >= 0 && plan.Dirt[j] == ActionClean {
-			// Unchanged guard over unchanged states: the old bitset is
-			// the answer. Enabled sets are read-only on both graphs.
-			g.enabled[j] = old.enabled[oj]
-			continue
+	if aliveCount == oldN && len(c.fresh) == 0 {
+		// The node set is the old one: phase 1's arrays are the graph.
+		g := &Graph{
+			prog:     k.Program(),
+			schema:   k.Schema(),
+			nv:       nv,
+			n:        oldN,
+			vals:     old.vals,
+			idxs:     old.idxs,
+			outOff:   offs,
+			outEdges: edges,
+			in:       new(inCSR),
+			fair:     fair,
+			numActs:  newNA,
+			enabled:  enabled,
+			memo:     newGraphMemo(),
 		}
-		b := NewBitset(n)
-		for i := 0; i < n; i++ {
-			if sc.EnabledOnRow(g.vals[i*nv:(i+1)*nv], j) {
-				b.Add(i)
-			}
-		}
-		g.enabled[j] = b
+		g.dead = g.computeDead(fair)
+		return g
 	}
-	g.dead = g.computeDead(fair)
-	return g
+	return repairRenumber(old, k, fair, c, edgesOf, enabled, alive, aliveCount)
 }
 
 // repairRenumber assembles the repaired graph when the node set changed:
-// surviving old states and newly discovered states merge into a fresh
+// surviving old nodes and surviving discovered states merge into a fresh
 // canonical (index-ascending) numbering, old arena rows are copied, new
-// states are decoded once, and enabledness is recomputed — exactly what a
-// from-scratch assemble would produce.
-func repairRenumber(old *Graph, k *guarded.Kernel, fair []bool, succ []guarded.Succ, offs []int, newSucc []guarded.Succ, newOffs []int, newIdxs []uint64, alive *Bitset, aliveCount int, resolve func(uint64) int, edgesOf func(int) []guarded.Succ) *Graph {
+// states are decoded once, edges and the old nodes' enabledness are
+// relabeled through the final-id map, and only the discovered states'
+// guards are evaluated — exactly what a from-scratch assemble would
+// produce. alive == nil means every candidate survived.
+func repairRenumber(old *Graph, k *guarded.Kernel, fair []bool, c *candidates, edgesOf func(int) []Edge, enabled []*Bitset, alive *Bitset, n int) *Graph {
 	sch := k.Schema()
-	nv := old.nv
-	oldN := old.n
-	newNA := k.NumActions()
+	nv, oldN, newNA := old.nv, old.n, k.NumActions()
+	live := func(id int) bool { return alive == nil || alive.Has(id) }
 
-	// Merge surviving old states (already index-ascending) with surviving
-	// new states (sorted here) into the canonical id order.
-	aliveNew := make([]uint64, 0, len(newIdxs))
-	for q, idx := range newIdxs {
-		if alive.Has(oldN + q) {
-			aliveNew = append(aliveNew, idx)
+	// Merge surviving old nodes (already index-ascending) with surviving
+	// discovered states (sorted here) into the canonical id order.
+	fresh := make([]int, 0, len(c.fresh)) // candidate ids
+	for q := range c.fresh {
+		if live(oldN + q) {
+			fresh = append(fresh, oldN+q)
 		}
 	}
-	sort.Slice(aliveNew, func(i, j int) bool { return aliveNew[i] < aliveNew[j] })
-
-	n := aliveCount
-	g := &Graph{
-		prog:    k.Program(),
-		schema:  sch,
-		nv:      nv,
-		n:       n,
-		vals:    make([]int32, n*nv),
-		idxs:    make([]uint64, n),
-		fair:    fair,
-		numActs: newNA,
-		memo:    newGraphMemo(),
-	}
-	final := make([]int32, oldN+len(newIdxs))
-	for i := range final {
-		final[i] = -1
-	}
-	fi := 0
-	oi, ni := 0, 0
-	for {
-		// Advance past dropped old nodes.
-		for oi < oldN && !alive.Has(oi) {
+	sort.Slice(fresh, func(a, b int) bool { return c.fresh[fresh[a]-oldN] < c.fresh[fresh[b]-oldN] })
+	order := make([]int, 0, n) // final id -> candidate id
+	for oi, ni := 0, 0; oi < oldN || ni < len(fresh); {
+		switch {
+		case oi < oldN && !live(oi):
 			oi++
-		}
-		if oi >= oldN && ni >= len(aliveNew) {
-			break
-		}
-		if oi < oldN && (ni >= len(aliveNew) || old.idxs[oi] < aliveNew[ni]) {
-			g.idxs[fi] = old.idxs[oi]
-			copy(g.vals[fi*nv:(fi+1)*nv], old.vals[oi*nv:(oi+1)*nv])
-			final[oi] = int32(fi)
+		case oi < oldN && (ni == len(fresh) || old.idxs[oi] < c.fresh[fresh[ni]-oldN]):
+			order = append(order, oi)
 			oi++
-		} else {
-			idx := aliveNew[ni]
-			g.idxs[fi] = idx
-			sch.DecodeInto(g.vals[fi*nv:(fi+1)*nv], idx)
-			final[resolve(idx)] = int32(fi)
+		default:
+			order = append(order, fresh[ni])
 			ni++
 		}
-		fi++
+	}
+	final := make([]int32, oldN+len(c.fresh)) // candidate id -> final id, for survivors
+	totalE := 0
+	for f, cid := range order {
+		final[cid] = int32(f)
+		totalE += len(edgesOf(cid))
 	}
 
-	// Out-edge CSR over the survivors, in final id order.
-	totalE := 0
-	g.outOff = make([]uint32, n+1)
-	order := make([]int, n) // final id -> candidate id
-	for cid := 0; cid < oldN+len(newIdxs); cid++ {
-		if f := final[cid]; f >= 0 {
-			order[f] = cid
+	g := &Graph{
+		prog:     k.Program(),
+		schema:   sch,
+		nv:       nv,
+		n:        n,
+		vals:     make([]int32, n*nv),
+		idxs:     make([]uint64, n),
+		outOff:   make([]uint32, n+1),
+		outEdges: make([]Edge, 0, totalE),
+		in:       new(inCSR),
+		fair:     fair,
+		numActs:  newNA,
+		enabled:  make([]*Bitset, newNA),
+		memo:     newGraphMemo(),
+	}
+	for f, cid := range order {
+		if cid < oldN {
+			g.idxs[f] = old.idxs[cid]
+			copy(g.vals[f*nv:(f+1)*nv], old.vals[cid*nv:(cid+1)*nv])
+		} else {
+			g.idxs[f] = c.fresh[cid-oldN]
+			sch.DecodeInto(g.vals[f*nv:(f+1)*nv], g.idxs[f])
 		}
-	}
-	for f := 0; f < n; f++ {
-		totalE += len(edgesOf(order[f]))
-		g.outOff[f+1] = uint32(totalE)
-	}
-	g.outEdges = make([]Edge, totalE)
-	pos := 0
-	for f := 0; f < n; f++ {
-		for _, tr := range edgesOf(order[f]) {
-			g.outEdges[pos] = Edge{Action: int(tr.Action), To: int(final[resolve(tr.To)])}
-			pos++
+		for _, e := range edgesOf(cid) {
+			g.outEdges = append(g.outEdges, Edge{Action: e.Action, To: int(final[e.To])})
 		}
+		g.outOff[f+1] = uint32(len(g.outEdges))
 	}
-	g.buildIn()
+	for a, en := range enabled {
+		b := NewBitset(n)
+		en.ForEach(func(id int) bool {
+			if live(id) {
+				b.Add(int(final[id]))
+			}
+			return true
+		})
+		g.enabled[a] = b
+	}
+	// Discovered states have no recorded enabledness: evaluate their guards.
 	sc := k.NewScratch()
-	g.enabled = make([]*Bitset, newNA)
-	for a := 0; a < newNA; a++ {
-		g.enabled[a] = NewBitset(n)
-	}
-	for i := 0; i < n; i++ {
-		row := g.vals[i*nv : (i+1)*nv]
+	for _, cid := range fresh {
+		f := int(final[cid])
+		row := g.vals[f*nv : (f+1)*nv]
 		for a := 0; a < newNA; a++ {
 			if sc.EnabledOnRow(row, a) {
-				g.enabled[a].Add(i)
+				g.enabled[a].Add(f)
 			}
 		}
 	}

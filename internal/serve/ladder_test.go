@@ -34,8 +34,10 @@ func scrape(t *testing.T, url string) string {
 // TestDecisionRungMetrics checks that /metrics counts verdicts by the
 // ladder rung that decided them: ring-4 corrects (256 states) is explored
 // before the prover is tried, while closure of the watched ring of 6 is
-// the prover's at any size. A verdict-cache hit decides nothing, so the
-// repeated request leaves the rung counters alone.
+// the prover's at any size. Ring-5 convergence from true builds the graph
+// from true, so the deadlock question from true that follows it is
+// answered from that resident graph. A verdict-cache hit decides nothing,
+// so the repeated request leaves the rung counters alone.
 func TestDecisionRungMetrics(t *testing.T) {
 	srv := NewServer(Config{})
 	ts := httptest.NewServer(srv)
@@ -44,17 +46,23 @@ func TestDecisionRungMetrics(t *testing.T) {
 
 	ring4 := api.Request{Program: difftest.RingSource(4, 4), Check: api.CheckCorrects, Z: "Legit", X: "Legit"}
 	watched6 := api.Request{Program: difftest.RingWatchedSource(6, 6), Check: api.CheckClosure, Invariant: "Legit"}
-	for _, req := range []api.Request{ring4, watched6, ring4} {
+	converge5 := api.Request{Program: difftest.RingSource(5, 5), Check: api.CheckConvergence, Invariant: "true", Goal: "Legit"}
+	deadlock5 := api.Request{Program: difftest.RingSource(5, 5), Check: api.CheckDeadlock}
+	for _, req := range []api.Request{ring4, watched6, ring4, converge5, deadlock5} {
+		want := `"holds"`
+		if req.Check == api.CheckDeadlock {
+			want = `"` + api.VerdictDeadlockFree + `"`
+		}
 		resp, body := post(t, ts.URL, req, nil)
-		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"holds"`) {
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
 			t.Fatalf("%s: status %d, body %s", req.Check, resp.StatusCode, body)
 		}
 	}
 	text := scrape(t, ts.URL)
 	for _, want := range []string{
-		`dcserved_decisions_total{rung="build"} 1`,
+		`dcserved_decisions_total{rung="build"} 2`,
 		`dcserved_decisions_total{rung="prove"} 1`,
-		`dcserved_decisions_total{rung="cached"} 0`,
+		`dcserved_decisions_total{rung="cached"} 1`,
 		`dcserved_decisions_total{rung="slice"} 0`,
 		`dcserved_decisions_total{rung="scan"} 0`,
 		`dcserved_verdicts_total{cache="hit"} 1`,

@@ -36,8 +36,9 @@ func usagef(format string, args ...any) error {
 // or an exploration failure such as explore.ErrStateBound.
 //
 // The rung of a -tolerant request is its fault-free half's; the tolerant
-// half always explores the fault span. Deadlock hunts are scans, and
-// prove requests are the prover.
+// half always explores the fault span. A deadlock question is answered
+// from its graph when that graph is resident and hunted by a scan
+// otherwise, and prove requests are the prover.
 func Decide(ctx context.Context, v *Program, req api.Request) (*api.Response, Rung, error) {
 	if err := req.Validate(); err != nil {
 		return nil, "", &UsageError{Err: err}
@@ -51,8 +52,7 @@ func Decide(ctx context.Context, v *Program, req api.Request) (*api.Response, Ru
 	case api.CheckConvergence:
 		return v.decideConvergence(ctx, req, resp)
 	case api.CheckDeadlock:
-		resp, err := decideDeadlock(ctx, v.f, req, resp)
-		return resp, RungScan, err
+		return decideDeadlock(ctx, v.f, req, resp)
 	case api.CheckProve:
 		resp, err := decideProve(ctx, v.f, req, resp)
 		return resp, RungProve, err
@@ -177,32 +177,41 @@ func (v *Program) decideComponent(ctx context.Context, req api.Request, resp *ap
 	return resp, rung, err
 }
 
-func decideDeadlock(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {
+// decideDeadlock hunts for a reachable deadlock: from the graph of the
+// (composed) program from U when it is resident — the hunt's BFS order and
+// tie-breaking are PathBetween's, so the witness is the same — and by a
+// scan otherwise.
+func decideDeadlock(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, Rung, error) {
 	from, err := pred(f, req.From, "from")
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	prog := f.Program
 	var fairMask []bool
 	if req.Faults && !f.Faults.Empty() {
 		if prog, fairMask, err = fault.Compose(f.Program, f.Faults); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
-	trace, found, err := explore.FindDeadlockCtx(ctx, prog, from, explore.ScanOptions{Fair: fairMask, MaxStates: req.MaxStates})
-	if err != nil {
-		return nil, err
+	var trace []state.State
+	found := false
+	rung := RungScan
+	if g, ok := explore.Peek(prog, from, explore.Options{Fair: fairMask, MaxStates: req.MaxStates}); ok {
+		trace, found = g.PathBetween(g.SetOf(from), g.DeadlockSet(), nil)
+		rung = RungCached
+	} else if trace, found, err = explore.FindDeadlockCtx(ctx, prog, from, explore.ScanOptions{Fair: fairMask, MaxStates: req.MaxStates}); err != nil {
+		return nil, "", err
 	}
 	if !found {
 		resp.Verdict = api.VerdictDeadlockFree
-		return resp, nil
+		return resp, rung, nil
 	}
 	resp.Verdict = api.VerdictDeadlock
 	resp.Detail = fmt.Sprintf("deadlock reached in %d steps", len(trace)-1)
 	for _, s := range trace {
 		resp.Witness = append(resp.Witness, s.String())
 	}
-	return resp, nil
+	return resp, rung, nil
 }
 
 func decideProve(ctx context.Context, f *gcl.File, req api.Request, resp *api.Response) (*api.Response, error) {

@@ -11,10 +11,12 @@ import (
 
 	"detcorr/internal/explore"
 	"detcorr/internal/explore/difftest"
+	"detcorr/internal/fault"
 	"detcorr/internal/gcl"
 	"detcorr/internal/prove"
 	"detcorr/internal/serve/api"
 	"detcorr/internal/serve/corpus"
+	"detcorr/internal/state"
 )
 
 // order is one rung order the tests force through the value's threshold
@@ -109,7 +111,9 @@ func component(check, z, x, from, tolerant string) api.Request {
 // included. The systems are the
 // paper's (memory access pf, pn and pm, TMR, Byzantine agreement), the
 // countdown, the dcserved corpus, and Dijkstra's ring of 3 and 4; the
-// listed questions are the benchmark's component questions on them.
+// listed questions are the benchmark's component questions on them. The
+// deadlock subtest asks every deadlock question of these systems and of
+// difftest.Systems, once on the scan and once on the cached rung.
 func TestLadderOrdersAgree(t *testing.T) {
 	corpusReqs := map[string][]api.Request{}
 	for _, it := range corpus.Items() {
@@ -182,6 +186,31 @@ func TestLadderOrdersAgree(t *testing.T) {
 			})
 		}
 	})
+	t.Run("deadlock", func(t *testing.T) {
+		var files []*gcl.File
+		for _, sys := range systems {
+			f, err := gcl.ParseAndCompile(sys.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		for _, sys := range difftest.Systems() {
+			f := &gcl.File{Name: sys.Name, Schema: sys.Prog.Schema(), Program: sys.Prog, Preds: map[string]state.Predicate{}}
+			if !trivial(sys.Init) {
+				f.Preds[sys.Init.String()] = sys.Init
+			}
+			files = append(files, f)
+		}
+		verdicts := map[string]int{}
+		for _, f := range files {
+			deadlockRungsAgree(t, f, verdicts)
+		}
+		if verdicts[api.VerdictDeadlock] == 0 || verdicts[api.VerdictDeadlockFree] == 0 {
+			t.Errorf("the deadlock questions should reach both verdicts: %v", verdicts)
+		}
+		t.Logf("deadlock verdicts: %v", verdicts)
+	})
 	// The forced orders must really reach the rungs they exist to test.
 	if rungs[0][RungSlice]+rungs[0][RungProve] > 0 {
 		t.Errorf("the graph-only order decided on the prover or a slice: %v", rungs[0])
@@ -194,6 +223,75 @@ func TestLadderOrdersAgree(t *testing.T) {
 	}
 	for i, o := range orders {
 		t.Logf("%s: %v", o.name, rungs[i])
+	}
+}
+
+// deadlockRungsAgree decides every deadlock question on f — from true and
+// from each declared predicate, with and without the fault class — first
+// cold, where a scan hunts it, then with its graph resident, where the
+// cached rung answers from the graph. The responses must be byte-identical.
+// Beside each fault-composed graph sits a decoy of the same program and
+// start with every action fair, which the cached rung must not answer
+// from: under that mask a state where only a fault is enabled is no
+// deadlock.
+func deadlockRungsAgree(t *testing.T, f *gcl.File, verdicts map[string]int) {
+	t.Helper()
+	ctx := context.Background()
+	froms := []string{""}
+	for name := range f.Preds {
+		froms = append(froms, name)
+	}
+	sort.Strings(froms[1:])
+	var reqs []api.Request
+	for _, from := range froms {
+		for _, faults := range []bool{false, true} {
+			reqs = append(reqs, api.Request{Program: f.Name, Check: api.CheckDeadlock, From: from, Faults: faults})
+		}
+	}
+	v := New(f, nil)
+	composed, mask := f.Program, []bool(nil)
+	if !f.Faults.Empty() {
+		var err error
+		if composed, mask, err = fault.Compose(f.Program, f.Faults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer explore.EvictProgram(composed)
+	defer v.Evict()
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		resp, rung, err := Decide(ctx, v, req)
+		if want[i] = encode(resp, err); rung != RungScan {
+			t.Errorf("%s %+v: decided cold on rung %q, want %q", f.Name, req, rung, RungScan)
+		}
+	}
+	for _, req := range reqs {
+		from, err := pred(f, req.From, "from")
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, fair := f.Program, []bool(nil)
+		if req.Faults && mask != nil {
+			prog, fair = composed, mask
+			if _, err := explore.Shared(prog, from, explore.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := explore.Shared(prog, from, explore.Options{Fair: fair}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, req := range reqs {
+		resp, rung, err := Decide(ctx, v, req)
+		if got := encode(resp, err); !bytes.Equal(got, want[i]) {
+			t.Errorf("%s %+v: the cached rung answered %s, the scan %s", f.Name, req, got, want[i])
+		}
+		if rung != RungCached {
+			t.Errorf("%s %+v: decided with the graph resident on rung %q, want %q", f.Name, req, rung, RungCached)
+		}
+		if resp != nil {
+			verdicts[resp.Verdict]++
+		}
 	}
 }
 
