@@ -138,12 +138,15 @@ func run(args []string, errOut io.Writer) int {
 	srv := serve.NewServer(cfg)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
+	// The handler goes in before the listener: a client that has seen the
+	// daemon answer may signal it at once, and a SIGTERM with no handler
+	// kills the process without a drain.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	logger.Printf("listening on %s", *addr)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		logger.Printf("listener: %v", err)

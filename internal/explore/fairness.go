@@ -209,6 +209,8 @@ func (g *Graph) CheckEventuallyAlways(from, goal *Bitset) *LivenessViolation {
 // nodes with an escaping edge).
 func (g *Graph) LargestClosedSubset(set *Bitset) *Bitset {
 	c := set.Clone()
+	in := g.inEdges() // once: In is a call per node
+	inOff, inEdges := in.off, in.edges
 	var queue []int
 	c.ForEach(func(id int) bool {
 		for _, e := range g.Out(id) {
@@ -227,7 +229,7 @@ func (g *Graph) LargestClosedSubset(set *Bitset) *Bitset {
 		}
 		c.Remove(id)
 		// Predecessors of id inside c may now escape.
-		for _, e := range g.In(id) {
+		for _, e := range inEdges[inOff[id]:inOff[id+1]] {
 			if c.Has(e.To) {
 				queue = append(queue, e.To)
 			}

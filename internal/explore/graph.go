@@ -177,32 +177,35 @@ type inCSR struct {
 	edges []Edge
 }
 
-// inEdges returns the in-edge CSR, building it on first use. A counting
-// pass over sources in ascending id order makes each in-list ordered by
-// source id (and, within one source, by out-edge position) — the
-// determinism contract covers in-lists too.
+// inEdges returns the in-edge CSR, building it on first use. It inlines
+// into In, so a built CSR costs an In call one atomic load.
 func (g *Graph) inEdges() *inCSR {
-	in := g.in
-	in.once.Do(func() {
-		off := make([]uint32, g.n+1)
-		for i := range g.outEdges {
-			off[g.outEdges[i].To+1]++
+	g.in.once.Do(g.buildIn)
+	return g.in
+}
+
+// buildIn builds the in-edge CSR. A counting pass over sources in
+// ascending id order makes each in-list ordered by source id (and, within
+// one source, by out-edge position) — the determinism contract covers
+// in-lists too.
+func (g *Graph) buildIn() {
+	off := make([]uint32, g.n+1)
+	for i := range g.outEdges {
+		off[g.outEdges[i].To+1]++
+	}
+	for i := 0; i < g.n; i++ {
+		off[i+1] += off[i]
+	}
+	edges := make([]Edge, len(g.outEdges))
+	cursor := make([]uint32, g.n)
+	copy(cursor, off[:g.n])
+	for v := 0; v < g.n; v++ {
+		for _, e := range g.Out(v) {
+			edges[cursor[e.To]] = Edge{Action: e.Action, To: v}
+			cursor[e.To]++
 		}
-		for i := 0; i < g.n; i++ {
-			off[i+1] += off[i]
-		}
-		edges := make([]Edge, len(g.outEdges))
-		cursor := make([]uint32, g.n)
-		copy(cursor, off[:g.n])
-		for v := 0; v < g.n; v++ {
-			for _, e := range g.Out(v) {
-				edges[cursor[e.To]] = Edge{Action: e.Action, To: v}
-				cursor[e.To]++
-			}
-		}
-		in.off, in.edges = off, edges
-	})
-	return in
+	}
+	g.in.off, g.in.edges = off, edges
 }
 
 // Program returns the program the graph was built from.

@@ -64,23 +64,22 @@ func MigrateProgram(oldProg, newProg *guarded.Program, plan *RepairPlan, resolve
 		// The mask the new graph is built and keyed under: the old key's,
 		// position by position, over the new action count.
 		fair := fairFromKey(e.key.fair, newProg.NumActions())
+		init, initSame := resolve(e.key.init)
 		var ng *Graph
 		rebound := false
 		switch {
-		case plan == nil:
-			// No plan: nothing survives.
+		case plan == nil || !initSame:
+			// No plan, or an init whose extension may have changed (a
+			// predicate-only edit is an identity plan): nothing survives.
 		case identity:
-			// Identity edits rebind any key — the graph, including its
-			// fairness mask and (trivially satisfied) bound, is unchanged.
+			// Identity edits rebind any key whose init is unchanged — the
+			// graph, including its fairness mask and (trivially satisfied)
+			// bound, is unchanged.
 			ng = e.g.rebind(sharedKernel(newProg), e.g.fair)
 			rebound = true
 		case e.key.max != 0:
 			// Bounded graphs are outside Repair's scope; rebuild on demand.
 		default:
-			init, ok := resolve(e.key.init)
-			if !ok {
-				break
-			}
 			g, err := Repair(e.g, newProg, plan, init, Options{Fair: fair})
 			if err == nil {
 				ng = g

@@ -33,6 +33,7 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"detcorr/internal/guarded"
@@ -260,11 +261,12 @@ func (c *candidates) id(idx uint64) int {
 	return c.old.n + q
 }
 
-// repair is the non-identity path: per-node edge rewrite into candidate
-// ids, frontier BFS over newly discovered states, forward closure from the
-// (unchanged) seed set when reachability may have shrunk, and assembly —
-// phase 1's arrays are the graph when the node set survived intact, and
-// are relabeled into the canonical numbering when it did not.
+// repair is the non-identity path: the dirty actions' guards evaluated,
+// per-node edge rewrite into candidate ids, frontier BFS over newly
+// discovered states, forward closure from the (unchanged) seed set when
+// reachability may have shrunk, and assembly — phase 1's arrays are the
+// graph when the node set survived intact, and are relabeled into the
+// canonical numbering when it did not.
 func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicate, fair []bool) *Graph {
 	sc := k.NewScratch()
 	nv, oldN, newNA := old.nv, old.n, k.NumActions()
@@ -291,32 +293,77 @@ func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicat
 
 	// Clean actions keep sharing the old enabled bitsets (an unchanged
 	// guard over unchanged states); a dirty action's bitset over the old
-	// nodes is filled as phase 1 evaluates its guard.
+	// nodes is filled as phase 1a evaluates its guard.
 	enabled := make([]*Bitset, newNA)
-	for _, s := range steps {
-		if s.dirt == ActionClean {
-			for j := s.j0; j < s.j1; j++ {
-				enabled[j] = old.enabled[s.o0+j-s.j0]
+	var edited []repairStep // the dirty steps, one action each
+	var fanout []int        // of each edited action
+	for _, st := range steps {
+		if st.dirt == ActionClean {
+			for j := st.j0; j < st.j1; j++ {
+				enabled[j] = old.enabled[st.o0+j-st.j0]
 			}
 		} else {
-			enabled[s.j0] = NewBitset(oldN)
+			enabled[st.j0] = NewBitset(oldN)
+			edited = append(edited, st)
+			fanout = append(fanout, k.Fanout(st.j0))
 		}
 	}
 
-	// Phase 1: rewrite every old node's out-edge list under the new action
-	// set, in new-action-index order, with targets as candidate ids.
-	edges := make([]Edge, 0, len(old.outEdges))
-	offs := make([]uint32, oldN+1)
-	pos := make([]int, old.numActs+1) // pos[a]: first edge of the node with action >= a
-	var buf []guarded.Succ
-	expand := func(i, j int) {
-		buf = sc.TransitionsOf(old.idxs[i], j, buf[:0])
-		for _, t := range buf {
-			edges = append(edges, Edge{Action: j, To: c.id(t.To)})
+	// Phase 1a: evaluate the dirty actions' guards at every old node into
+	// their bitsets, and count the edges phase 1b writes so its arena is
+	// allocated once, at its final size: the old edges, less those of old
+	// actions without an image and the runs a guard-dirty action's new
+	// guard disables, plus a dirty action's fan-out wherever it is enabled
+	// and its old edges cannot be reused. (The planner images an old action
+	// at most once; a plan that images one twice only makes the arena grow.)
+	n := len(old.outEdges)
+	if slices.Contains(imaged, false) {
+		for _, e := range old.outEdges {
+			if !imaged[e.Action] {
+				n--
+			}
 		}
 	}
+	var buf []guarded.Succ
 	for i := 0; i < oldN; i++ {
 		row := old.vals[i*nv : (i+1)*nv]
+		for x, st := range edited {
+			now := sc.EnabledOnRow(row, st.j0)
+			before := st.dirt == ActionGuardDirty && old.enabled[st.o0].Has(i)
+			switch {
+			case now && before:
+				// Same assignments, enabled in both revisions: the old
+				// targets (and their kernel order) carry over.
+			case before:
+				removedAny = true
+				for _, e := range old.Out(i) {
+					if e.Action == st.o0 {
+						n--
+					}
+				}
+			case now:
+				if fanout[x] >= 0 {
+					n += fanout[x]
+				} else {
+					buf = sc.TransitionsOf(old.idxs[i], st.j0, buf[:0])
+					n += len(buf)
+				}
+			}
+			if now {
+				enabled[st.j0].Add(i)
+			}
+		}
+	}
+
+	// Phase 1b: write every old node's out-edge list under the new action
+	// set, in new-action-index order, with targets as candidate ids: a
+	// reused run is copied from the old list (one append when its actions'
+	// indices did not move, relabeled when they did), and a dirty action
+	// enabled where its old edges cannot be reused is expanded.
+	edges := make([]Edge, 0, n)
+	offs := make([]uint32, oldN+1)
+	pos := make([]int, old.numActs+1) // pos[a]: first edge of the node with action >= a
+	for i := 0; i < oldN; i++ {
 		oldOut := old.Out(i)
 		p := 0
 		for a := range pos {
@@ -325,31 +372,16 @@ func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicat
 			}
 			pos[a] = p
 		}
-		for _, s := range steps {
-			switch s.dirt {
-			case ActionClean:
-				edges = appendRun(edges, oldOut[pos[s.o0]:pos[s.o0+s.j1-s.j0]], s.j0-s.o0)
-			case ActionGuardDirty:
-				now, before := sc.EnabledOnRow(row, s.j0), old.enabled[s.o0].Has(i)
-				switch {
-				case now && before:
-					// Same assignments, enabled in both revisions: the
-					// old targets (and their kernel order) carry over.
-					edges = appendRun(edges, oldOut[pos[s.o0]:pos[s.o0+1]], s.j0-s.o0)
-				case now:
-					expand(i, s.j0)
-				case before:
-					removedAny = true
-				}
-				if now {
-					enabled[s.j0].Add(i)
-				}
-			default: // ActionFullDirty, or an added action
-				// (Removal accounting: a full-dirty mapped action left
-				// imaged[] false above, so removedAny already covers it.)
-				if sc.EnabledOnRow(row, s.j0) {
-					enabled[s.j0].Add(i)
-					expand(i, s.j0)
+		for _, st := range steps {
+			switch {
+			case st.dirt == ActionClean:
+				edges = appendRun(edges, oldOut[pos[st.o0]:pos[st.o0+st.j1-st.j0]], st.j0-st.o0)
+			case st.dirt == ActionGuardDirty && old.enabled[st.o0].Has(i) && enabled[st.j0].Has(i):
+				edges = appendRun(edges, oldOut[pos[st.o0]:pos[st.o0+1]], st.j0-st.o0)
+			case enabled[st.j0].Has(i):
+				buf = sc.TransitionsOf(old.idxs[i], st.j0, buf[:0])
+				for _, t := range buf {
+					edges = append(edges, Edge{Action: st.j0, To: c.id(t.To)})
 				}
 			}
 		}

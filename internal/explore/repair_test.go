@@ -2,6 +2,8 @@ package explore
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"detcorr/internal/guarded"
@@ -217,5 +219,68 @@ func TestMigrateProgramRepairedGraphIsCorrect(t *testing.T) {
 	if g.NumEdges() != ref.NumEdges() || g.NumNodes() != ref.NumNodes() {
 		t.Errorf("migrated graph %d nodes/%d edges, rebuild %d/%d",
 			g.NumNodes(), g.NumEdges(), ref.NumNodes(), ref.NumEdges())
+	}
+}
+
+// TestRepairArenaExact: repair counts the edges it writes before writing
+// them, so a repaired graph's edge arena holds exactly its edges — for
+// edits that add edges (a widened guard, an added action with a varying
+// set of next states) as well as edits that drop them (a narrowed guard, a
+// removed action) — and the graph is the one a build gives.
+func TestRepairArenaExact(t *testing.T) {
+	sch := state.MustSchema(state.IntVar("x", 8), state.IntVar("y", 8))
+	step := guarded.Det("step", state.True, func(s state.State) state.State {
+		return s.With(0, (s.Get(0)+s.Get(1))%8)
+	})
+	bump := guarded.Det("bump", state.True, func(s state.State) state.State {
+		return s.With(1, (s.Get(1)+1)%8)
+	})
+	zero := func(min int) guarded.Action {
+		return guarded.Det("zero", state.Pred(fmt.Sprintf("x>%d", min), func(s state.State) bool { return s.Get(0) > min }),
+			func(s state.State) state.State { return s.With(0, 0) })
+	}
+	spread := guarded.Choice("spread", state.Pred("x<y", func(s state.State) bool { return s.Get(0) < s.Get(1) }),
+		func(s state.State) []state.State {
+			var out []state.State
+			for v := 0; v <= s.Get(0); v++ {
+				out = append(out, s.With(1, v))
+			}
+			return out
+		})
+	old := guarded.MustProgram("arena", sch, step, bump, zero(3))
+	g, err := Build(old, state.True, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		prog *guarded.Program
+		plan *RepairPlan
+	}{
+		{"widen and add", guarded.MustProgram("arena", sch, step, bump, zero(1), spread),
+			&RepairPlan{OldActions: 3, OldIndex: []int{0, 1, 2, -1}, Dirt: []ActionDirt{ActionClean, ActionClean, ActionGuardDirty, ActionFullDirty}}},
+		{"narrow and remove", guarded.MustProgram("arena", sch, bump, zero(5)),
+			&RepairPlan{OldActions: 3, OldIndex: []int{1, 2}, Dirt: []ActionDirt{ActionClean, ActionGuardDirty}}},
+	} {
+		r, err := Repair(g, tc.prog, tc.plan, state.True, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(r.outEdges) != cap(r.outEdges) {
+			t.Errorf("%s: edge arena holds %d edges in a capacity of %d", tc.name, len(r.outEdges), cap(r.outEdges))
+		}
+		want, err := Build(tc.prog, state.True, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumNodes() != want.NumNodes() || r.NumEdges() != want.NumEdges() {
+			t.Fatalf("%s: repaired %d states and %d edges, built %d and %d",
+				tc.name, r.NumNodes(), r.NumEdges(), want.NumNodes(), want.NumEdges())
+		}
+		for id := 0; id < r.NumNodes(); id++ {
+			if !slices.Equal(r.Out(id), want.Out(id)) {
+				t.Fatalf("%s: Out(%d) = %v, built %v", tc.name, id, r.Out(id), want.Out(id))
+			}
+		}
 	}
 }

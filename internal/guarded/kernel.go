@@ -539,6 +539,27 @@ func (k *Kernel) Native(a int) bool {
 	return c != nil && c.Guard != nil
 }
 
+// Fanout returns the number of transitions action a has at every state
+// where it is enabled — one per valuation of its '?' variables for a
+// compiled action, one for a deterministic closure — or -1 when the number
+// may vary from state to state (a closure with a set of next states).
+func (k *Kernel) Fanout(a int) int {
+	act := &k.acts[a]
+	switch {
+	case act.comp != nil:
+		n := 1
+		for _, as := range act.comp.Assigns {
+			if as.Wild {
+				n *= int(k.sizes[as.Var])
+			}
+		}
+		return n
+	case act.stmt != nil:
+		return 1
+	}
+	return -1
+}
+
 // Scratch is the per-worker mutable state of a kernel: the decoded pre-state
 // row, the successor row, the expression stack, and the pooled state.State
 // view over the row for closure actions. A Scratch must not be shared

@@ -194,3 +194,55 @@ func TestKernelTabulatedEscapePanics(t *testing.T) {
 		t.Error("the escaping entry's guard holds")
 	}
 }
+
+// TestKernelFanout: wherever an action is enabled it emits exactly Fanout
+// transitions — one per valuation of a compiled action's '?' variables,
+// tabulated or not, and one for a deterministic closure — while a closure
+// with a set of next states reports -1.
+func TestKernelFanout(t *testing.T) {
+	sch := state.MustSchema(state.IntVar("x", 4), state.IntVar("y", 3), state.BoolVar("z"))
+	xLtY := state.Pred("x<y", func(s state.State) bool { return s.Get(0) < s.Get(1) })
+	det := Det("det", xLtY, func(s state.State) state.State { return s.With(0, s.Get(0)+1) })
+	wild := Choice("wild", xLtY, func(s state.State) []state.State {
+		var out []state.State
+		for y := 0; y < 3; y++ {
+			out = append(out, s.With(1, y).WithBool(2, false), s.With(1, y).WithBool(2, true))
+		}
+		return out
+	})
+	wild.Compiled = &CompiledAction{
+		Guard:   []Op{{Code: OpVar, A: 0}, {Code: OpVar, A: 1}, {Code: OpLt}},
+		Assigns: []CompiledAssign{{Var: 1, Wild: true}, {Var: 2, Wild: true}},
+	}
+	some := Choice("some", xLtY, func(s state.State) []state.State {
+		var out []state.State
+		for x := 0; x <= s.Get(0); x++ {
+			out = append(out, s.With(0, x))
+		}
+		return out
+	})
+	p := MustProgram("fanout", sch, det, wild, some)
+	want := []int{1, 6, -1}
+	n, _ := sch.NumStates()
+	for _, k := range []*Kernel{Compile(p), CompileBytecode(p)} {
+		sc := k.NewScratch()
+		var succ []Succ
+		for a, w := range want {
+			if got := k.Fanout(a); got != w {
+				t.Errorf("%s: Fanout = %d, want %d", p.Action(a).Name, got, w)
+			}
+			enabled := 0
+			for idx := uint64(0); idx < n && w >= 0; idx++ {
+				if succ = sc.TransitionsOf(idx, a, succ[:0]); len(succ) > 0 {
+					enabled++
+					if len(succ) != w {
+						t.Fatalf("%s at state %d: %d transitions, Fanout %d", p.Action(a).Name, idx, len(succ), w)
+					}
+				}
+			}
+			if w >= 0 && enabled == 0 {
+				t.Errorf("%s is enabled nowhere", p.Action(a).Name)
+			}
+		}
+	}
+}

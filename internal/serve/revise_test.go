@@ -12,8 +12,10 @@ import (
 	"sync"
 	"testing"
 
+	"detcorr/internal/explore"
 	"detcorr/internal/serve/api"
 	"detcorr/internal/serve/corpus"
+	"detcorr/internal/state"
 )
 
 // postRevise submits one revision and returns the decoded report.
@@ -168,6 +170,87 @@ func TestMetricsInvalidateCounters(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// widenSrc counts x around 0..3; every state of 4..7 is a deadlock, so
+// widening S to take in x == 5 makes a deadlock reachable from S that no
+// state of the old S reaches.
+const widenSrc = `program widen
+
+var x : 0..7
+
+pred S :: x == 0
+
+action up :: x < 3 -> x := x + 1
+action back :: x == 3 -> x := 0
+`
+
+// TestReviseDropsGraphsOfEditedPredicates: a predicate-only edit leaves
+// every action as it was, so the revision plan is an identity, yet a graph
+// explored from the edited predicate holds the old predicate's reach and
+// must not survive the revision. The graph from true is rebound. Deadlock
+// and convergence from the widened S, asked right after the revision,
+// must answer byte for byte as they do with nothing resident.
+func TestReviseDropsGraphsOfEditedPredicates(t *testing.T) {
+	old, err := LoadSource(widenSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSrc := strings.Replace(widenSrc, "pred S :: x == 0", "pred S :: x == 0 | x == 5", 1)
+	nu, err := LoadSource(newSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer explore.EvictProgram(old.Program)
+	defer explore.EvictProgram(nu.Program)
+	s, _ := old.Pred("S")
+	for _, init := range []state.Predicate{s, state.True} {
+		if _, err := explore.Shared(old.Program, init, explore.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := NewServer(Config{})
+	defer srv.Shutdown(context.Background())
+	rep := srv.Advance(old, nu)
+	if rep.GraphsRebound != 1 || rep.GraphsRepaired != 0 || rep.GraphsRebuilt != 1 {
+		t.Errorf("graph accounting %+v, want 1 rebound (from true) and 1 rebuilt (from S)", rep)
+	}
+
+	ctx := context.Background()
+	reqs := []api.Request{
+		{Program: newSrc, Check: api.CheckDeadlock, From: "S"},
+		{Program: newSrc, Check: api.CheckConvergence, Invariant: "S", Goal: "S"},
+	}
+	var after [][]byte
+	for _, req := range reqs {
+		resp, err := Eval(ctx, nu, req)
+		after = append(after, encodeResult(t, resp, err))
+	}
+	explore.EvictProgram(nu.Program)
+	for i, req := range reqs {
+		resp, err := Eval(ctx, nu, req)
+		want := encodeResult(t, resp, err)
+		if !bytes.Equal(after[i], want) {
+			t.Errorf("%s after the edit:\n got %s\nwant %s", req.Check, after[i], want)
+		}
+		if req.Check == api.CheckDeadlock && (resp == nil || resp.Verdict != api.VerdictDeadlock) {
+			t.Errorf("deadlock from the widened S: %s, want %s", want, api.VerdictDeadlock)
+		}
+	}
+}
+
+// encodeResult renders a verdict or its error as the bytes a client sees.
+func encodeResult(t *testing.T, resp *api.Response, err error) []byte {
+	t.Helper()
+	if err != nil {
+		return []byte("error: " + err.Error())
+	}
+	var b bytes.Buffer
+	if err := api.Encode(&b, resp); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // TestReviseRejectsBadSources maps load failures onto the 422 convention.
