@@ -475,6 +475,36 @@ func BenchmarkFairCycleRing6K8(b *testing.B) {
 	}
 }
 
+// BenchmarkCorrectorGoodRegionRing6 computes the good region of ring 6's
+// (K = 6) corrector 'Legit corrects Legit' on the graph of the program from
+// the span of Legit, the region a nonmasking-tolerant corrects check
+// converges to. Each iteration runs on a RestrictFair view that keeps every
+// action fair: the same edges with a fresh memo, so no iteration reads the
+// predicate sets or fair SCCs of the one before.
+func BenchmarkCorrectorGoodRegionRing6(b *testing.B) {
+	f, err := gcl.ParseAndCompile(difftest.RingSource(6, 6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	legit := f.Preds["Legit"]
+	span, err := fault.ComputeSpan(f.Program, f.Faults, legit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := explore.Build(f.Program, span.Predicate, explore.Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := core.Corrector{C: f.Program, Z: legit, X: legit, U: legit}
+	all := func(int) bool { return true }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if good := c.GoodRegion(g.RestrictFair(all)); good.Count() != g.NumNodes() {
+			b.Fatalf("good region has %d of %d states; the ring converges from all of them", good.Count(), g.NumNodes())
+		}
+	}
+}
+
 // BenchmarkProveRing4Convergence is the prover's slowest benchmark query:
 // convergence of the 4-machine ring from true to Legit, a rank synthesis
 // that finds no candidate strictly decreasing any action and so reports

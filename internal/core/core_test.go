@@ -7,6 +7,7 @@ import (
 	"detcorr/internal/core"
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
+	"detcorr/internal/gcl"
 	"detcorr/internal/guarded"
 	"detcorr/internal/memaccess"
 	"detcorr/internal/state"
@@ -234,6 +235,57 @@ func TestCorrectorConvergenceFailure(t *testing.T) {
 	var cerr *core.ConditionError
 	if !asCondition(err, &cerr) || cerr.Condition != "Convergence" {
 		t.Fatalf("want Convergence violation, got %v", err)
+	}
+}
+
+// TestCorrectorToleranceFailuresNameTheCorrector holds a corrector's
+// fail-safe and masking failures over the fault span to the corrector's
+// name, as its fault-free failures are, and its fail-safe X-closure failure
+// to the action that falsifies X, as the masking one does.
+func TestCorrectorToleranceFailuresNameTheCorrector(t *testing.T) {
+	load := func(src string) *gcl.File {
+		t.Helper()
+		f, err := gcl.ParseAndCompile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// The fault makes Z ∧ ¬X reachable: Safeness fails over the span.
+	lab := load(`program lab
+var z : bool
+var x : bool
+pred Z :: z
+pred X :: x
+pred U :: z & x
+action hold :: z & x -> z := true
+fault drop :: z & x -> x := false
+`)
+	c := core.Corrector{Name: lab.Name, C: lab.Program, Z: lab.Preds["Z"], X: lab.Preds["X"], U: lab.Preds["U"]}
+	for _, kind := range []fault.Kind{fault.FailSafe, fault.Masking} {
+		err := c.CheckFTolerant(lab.Faults, kind)
+		var cerr *core.ConditionError
+		if !asCondition(err, &cerr) || cerr.Condition != "Safeness" || cerr.Component != c.String() {
+			t.Errorf("%v: want the corrector's Safeness violation, got %v", kind, err)
+		}
+	}
+	// The fault leads to a state where a program action falsifies X.
+	drift := load(`program drift
+var x : bool
+var y : bool
+pred X :: x
+pred U :: x & y
+action slip :: x & !y -> x := false
+fault knock :: x & y -> y := false
+`)
+	c = core.Corrector{Name: drift.Name, C: drift.Program, Z: drift.Preds["X"], X: drift.Preds["X"], U: drift.Preds["U"]}
+	for _, kind := range []fault.Kind{fault.FailSafe, fault.Masking} {
+		err := c.CheckFTolerant(drift.Faults, kind)
+		var cerr *core.ConditionError
+		if !asCondition(err, &cerr) || cerr.Condition != "Convergence" || cerr.Component != c.String() ||
+			!strings.Contains(err.Error(), "(action slip) falsifies X") {
+			t.Errorf("%v: want the corrector's X-closure violation by slip, got %v", kind, err)
+		}
 	}
 }
 

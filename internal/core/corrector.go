@@ -7,7 +7,6 @@ import (
 	"detcorr/internal/explore"
 	"detcorr/internal/fault"
 	"detcorr/internal/guarded"
-	"detcorr/internal/spec"
 	"detcorr/internal/state"
 )
 
@@ -46,55 +45,42 @@ func (c Corrector) Check() error {
 // CheckCtx is Check under a context: cancellation aborts the graph build
 // (and the closure scan on the error path) with ctx.Err().
 func (c Corrector) CheckCtx(ctx context.Context) error {
-	g, err := explore.SharedCtx(ctx, c.C, c.U, explore.Options{})
+	g, reach, err := graphFrom(ctx, c.C, c.U, c.String())
 	if err != nil {
-		// A cancelled build is the caller walking away, not a verdict.
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		// Historical error precedence: closure (or enumeration) problems
-		// are reported before the build failure.
-		if cerr := spec.CheckClosedCtx(ctx, c.C, c.U); cerr != nil {
-			return &ConditionError{Component: c.String(), Condition: "Closure", Cause: cerr}
-		}
 		return err
 	}
-	if cerr := spec.CheckClosedOn(g, c.U); cerr != nil {
-		return &ConditionError{Component: c.String(), Condition: "Closure", Cause: cerr}
-	}
-	reach := g.Reach(g.SetOf(c.U), nil)
-	if err := c.detectorView().checkOn(g, reach, true); err != nil {
+	return c.checkOn(g, reach, true)
+}
+
+// checkOn verifies the corrector conditions on a prebuilt graph restricted
+// to the given reachable set: the detector conditions, then Convergence —
+// (a) no reachable step falsifies X (X is closed along every computation),
+// and (b) every fair maximal computation reaches X. When live is false only
+// the safety conditions (Safeness, Stability, and (a)) are checked — the
+// fail-safe tolerance specification of 'Z corrects X'. Every failure names
+// the corrector.
+func (c Corrector) checkOn(g *explore.Graph, reach *explore.Bitset, live bool) error {
+	if err := c.detectorView().checkOn(g, reach, live); err != nil {
 		cerr := err.(*ConditionError)
 		cerr.Component = c.String()
 		return cerr
 	}
-	return c.checkConvergence(g, reach)
-}
-
-// checkConvergence verifies the Convergence condition of 'Z corrects X' on
-// the reachable set: (a) no reachable step falsifies X (X is closed along
-// every computation), and (b) every fair maximal computation reaches X.
-func (c Corrector) checkConvergence(g *explore.Graph, reach *explore.Bitset) error {
 	xSet := g.SetOf(c.X)
-	var stepErr error
 	xReach := xSet.Clone()
 	xReach.Intersect(reach)
-	xReach.ForEach(func(id int) bool {
-		for _, e := range g.Out(id) {
-			if !xSet.Has(e.To) {
-				stepErr = fmt.Errorf("step %s -> %s (action %s) falsifies X",
-					g.State(id), g.State(e.To), g.ActionName(e.Action))
-				return false
-			}
-		}
-		return true
+	var stepErr error
+	eachStep(g, xReach, xSet.Complement(), func(id int, e explore.Edge) bool {
+		stepErr = fmt.Errorf("step %s -> %s (action %s) falsifies X",
+			g.State(id), g.State(e.To), g.ActionName(e.Action))
+		return false
 	})
 	if stepErr != nil {
 		return &ConditionError{Component: c.String(), Condition: "Convergence", Cause: stepErr}
 	}
-	goal := xSet.Clone()
-	goal.Intersect(reach)
-	if v := g.CheckEventually(reach, goal); v != nil {
+	if !live {
+		return nil
+	}
+	if v := g.CheckEventually(reach, xReach); v != nil {
 		return &ConditionError{Component: c.String(), Condition: "Convergence", Cause: v}
 	}
 	return nil
@@ -139,97 +125,25 @@ func (c Corrector) CheckToleranceCtx(ctx context.Context, f fault.Class, kind fa
 		return err
 	}
 	switch kind {
-	case fault.FailSafe:
-		if err := c.detectorView().checkOn(span.Graph, span.Reachable, false); err != nil {
-			return err
-		}
-		return c.checkXClosure(span.Graph, span.Reachable)
-	case fault.Masking:
-		if err := c.detectorView().checkOn(span.Graph, span.Reachable, true); err != nil {
-			return err
-		}
-		return c.checkConvergence(span.Graph, span.Reachable)
+	case fault.FailSafe, fault.Masking:
+		return c.checkOn(span.Graph, span.Reachable, kind == fault.Masking)
 	case fault.Nonmasking:
-		return c.checkNonmaskingTolerant(ctx, span)
+		return convergesToGood(ctx, c.C, span, c.String(), "corrector", c.GoodRegion)
 	default:
 		return fmt.Errorf("core: unknown tolerance kind %d", int(kind))
 	}
 }
 
-func (c Corrector) checkXClosure(g *explore.Graph, reach *explore.Bitset) error {
-	xSet := g.SetOf(c.X)
-	var stepErr error
-	xReach := xSet.Clone()
-	xReach.Intersect(reach)
-	xReach.ForEach(func(id int) bool {
-		for _, e := range g.Out(id) {
-			if !xSet.Has(e.To) {
-				stepErr = fmt.Errorf("step %s -> %s falsifies X", g.State(id), g.State(e.To))
-				return false
-			}
-		}
-		return true
-	})
-	if stepErr != nil {
-		return &ConditionError{Component: c.String(), Condition: "Convergence", Cause: stepErr}
-	}
-	return nil
-}
-
-// checkNonmaskingTolerant verifies that C alone, started anywhere in the
-// fault span, converges to the set of states from which the fault-free
-// corrector specification is satisfied.
-func (c Corrector) checkNonmaskingTolerant(ctx context.Context, span *fault.Span) error {
-	g, err := explore.SharedCtx(ctx, c.C, span.Predicate, explore.Options{})
-	if err != nil {
-		return err
-	}
-	good := c.GoodRegion(g)
-	from := g.SetOf(span.Predicate)
-	if v := g.CheckEventually(from, good); v != nil {
-		return &ConditionError{Component: c.String(), Condition: "Convergence",
-			Cause: fmt.Errorf("no suffix satisfying the corrector specification: %w", v)}
-	}
-	return nil
-}
-
 // GoodRegion computes the largest set of nodes from which every computation
-// of C satisfies the full corrector specification: the detector good region
-// further restricted so that X is never falsified and Convergence holds.
+// of C satisfies the full corrector specification: the largest live subset,
+// with target X, of the detector good region less the sources of
+// X-falsifying steps.
 func (c Corrector) GoodRegion(g *explore.Graph) *explore.Bitset {
 	region := c.detectorView().GoodRegion(g)
 	xSet := g.SetOf(c.X)
-	// Remove states with X-falsifying steps, then re-close.
-	xRegion := xSet.Clone()
-	xRegion.Intersect(region)
-	xRegion.ForEach(func(id int) bool {
-		for _, e := range g.Out(id) {
-			if !xSet.Has(e.To) {
-				region.Remove(id)
-				break
-			}
-		}
+	eachStep(g, xSet, xSet.Complement(), func(id int, _ explore.Edge) bool {
+		region.Remove(id)
 		return true
 	})
-	region = g.LargestClosedSubset(region)
-	// Prune states from which X is not eventually reached, to a fixpoint.
-	for {
-		goal := xSet.Clone()
-		goal.Intersect(region)
-		violating := -1
-		region.ForEach(func(id int) bool {
-			single := explore.NewBitset(g.NumNodes())
-			single.Add(id)
-			if v := g.CheckEventually(single, goal); v != nil {
-				violating = id
-				return false
-			}
-			return true
-		})
-		if violating < 0 {
-			return region
-		}
-		region.Remove(violating)
-		region = g.LargestClosedSubset(region)
-	}
+	return g.LargestLiveSubset(region, xSet)
 }

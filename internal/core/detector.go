@@ -60,26 +60,36 @@ func (d Detector) Check() error {
 // checks on the built graph are not interruptible — they are linear set
 // operations on an already-paid-for graph.
 func (d Detector) CheckCtx(ctx context.Context) error {
-	g, err := explore.SharedCtx(ctx, d.D, d.U, explore.Options{})
+	g, reach, err := graphFrom(ctx, d.D, d.U, d.String())
+	if err != nil {
+		return err
+	}
+	return d.checkOn(g, reach, true)
+}
+
+// graphFrom builds the graph of p from u (once, through the shared cache)
+// and checks u closed in it, labelling a Closure failure with component. It
+// returns the graph and the states reachable from u.
+func graphFrom(ctx context.Context, p *guarded.Program, u state.Predicate, component string) (*explore.Graph, *explore.Bitset, error) {
+	g, err := explore.SharedCtx(ctx, p, u, explore.Options{})
 	if err != nil {
 		// A cancelled build is the caller walking away, not a verdict; do
 		// not mask it with the closure re-check below.
 		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+			return nil, nil, cerr
 		}
 		// Preserve the historical error precedence: a closure problem (or
 		// the enumeration error explaining why neither scan nor build can
 		// run) is reported before the build failure.
-		if cerr := spec.CheckClosedCtx(ctx, d.D, d.U); cerr != nil {
-			return &ConditionError{Component: d.String(), Condition: "Closure", Cause: cerr}
+		if cerr := spec.CheckClosedCtx(ctx, p, u); cerr != nil {
+			return nil, nil, &ConditionError{Component: component, Condition: "Closure", Cause: cerr}
 		}
-		return err
+		return nil, nil, err
 	}
-	if cerr := spec.CheckClosedOn(g, d.U); cerr != nil {
-		return &ConditionError{Component: d.String(), Condition: "Closure", Cause: cerr}
+	if cerr := spec.CheckClosedOn(g, u); cerr != nil {
+		return nil, nil, &ConditionError{Component: component, Condition: "Closure", Cause: cerr}
 	}
-	reach := g.Reach(g.SetOf(d.U), nil)
-	return d.checkOn(g, reach, true)
+	return g, g.Reach(g.SetOf(u), nil), nil
 }
 
 // checkOn verifies the detector conditions on a prebuilt graph restricted to
@@ -101,20 +111,18 @@ func (d Detector) checkOn(g *explore.Graph, reach *explore.Bitset, progress bool
 		return &ConditionError{Component: d.String(), Condition: "Safeness",
 			Cause: fmt.Errorf("Z ∧ ¬X at %s", g.State(id))}
 	}
-	// Stability: every reachable step from a Z-state satisfies Z ∨ ¬X at
-	// the target.
+	// Stability: every reachable step from a Z-state satisfies Z ∨ ¬X
+	// (done) at the target, not X ∧ ¬Z (pending).
+	done := xSet.Complement()
+	done.Union(zSet)
+	pending := done.Complement()
 	var stabErr error
 	zReach := zSet.Clone()
 	zReach.Intersect(reach)
-	zReach.ForEach(func(id int) bool {
-		for _, e := range g.Out(id) {
-			if !zSet.Has(e.To) && xSet.Has(e.To) {
-				stabErr = fmt.Errorf("step %s -> %s (action %s) falsifies Z while X holds",
-					g.State(id), g.State(e.To), g.ActionName(e.Action))
-				return false
-			}
-		}
-		return true
+	eachStep(g, zReach, pending, func(id int, e explore.Edge) bool {
+		stabErr = fmt.Errorf("step %s -> %s (action %s) falsifies Z while X holds",
+			g.State(id), g.State(e.To), g.ActionName(e.Action))
+		return false
 	})
 	if stabErr != nil {
 		return &ConditionError{Component: d.String(), Condition: "Stability", Cause: stabErr}
@@ -124,15 +132,24 @@ func (d Detector) checkOn(g *explore.Graph, reach *explore.Bitset, progress bool
 	}
 	// Progress: from every reachable X ∧ ¬Z state, every fair maximal
 	// computation reaches Z ∨ ¬X.
-	start := xSet.Clone()
-	start.Subtract(zSet)
-	start.Intersect(reach)
-	goal := xSet.Complement()
-	goal.Union(zSet)
-	if v := g.CheckEventually(start, goal); v != nil {
+	pending.Intersect(reach)
+	if v := g.CheckEventually(pending, done); v != nil {
 		return &ConditionError{Component: d.String(), Condition: "Progress", Cause: v}
 	}
 	return nil
+}
+
+// eachStep calls fn with each edge from a node of from into a node of into,
+// in ascending source order, until fn returns false.
+func eachStep(g *explore.Graph, from, into *explore.Bitset, fn func(id int, e explore.Edge) bool) {
+	from.ForEach(func(id int) bool {
+		for _, e := range g.Out(id) {
+			if into.Has(e.To) && !fn(id, e) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // CheckFTolerant decides whether D is a fail-safe (respectively masking)
@@ -171,27 +188,29 @@ func (d Detector) CheckToleranceCtx(ctx context.Context, f fault.Class, kind fau
 		return err
 	}
 	switch kind {
-	case fault.FailSafe:
-		return d.checkOn(span.Graph, span.Reachable, false)
-	case fault.Masking:
-		return d.checkOn(span.Graph, span.Reachable, true)
+	case fault.FailSafe, fault.Masking:
+		return d.checkOn(span.Graph, span.Reachable, kind == fault.Masking)
 	case fault.Nonmasking:
-		return d.checkNonmaskingTolerant(ctx, span)
+		return convergesToGood(ctx, d.D, span, d.String(), "detector", d.GoodRegion)
 	default:
 		return fmt.Errorf("core: unknown tolerance kind %d", int(kind))
 	}
 }
 
-func (d Detector) checkNonmaskingTolerant(ctx context.Context, span *fault.Span) error {
-	g, err := explore.SharedCtx(ctx, d.D, span.Predicate, explore.Options{})
+// convergesToGood decides nonmasking tolerance under Assumption 2: p alone,
+// started anywhere in the fault span, converges to the good region of a
+// component on p's graph from the span. component names it in a failure,
+// and what is the kind of specification the region satisfies ("detector"
+// or "corrector").
+func convergesToGood(ctx context.Context, p *guarded.Program, span *fault.Span, component, what string, goodRegion func(*explore.Graph) *explore.Bitset) error {
+	g, err := explore.SharedCtx(ctx, p, span.Predicate, explore.Options{})
 	if err != nil {
 		return err
 	}
-	good := d.GoodRegion(g)
-	from := g.SetOf(span.Predicate)
-	if v := g.CheckEventually(from, good); v != nil {
-		return &ConditionError{Component: d.String(), Condition: "Convergence",
-			Cause: fmt.Errorf("no suffix satisfying the detector specification: %w", v)}
+	good := goodRegion(g)
+	if v := g.CheckEventually(g.SetOf(span.Predicate), good); v != nil {
+		return &ConditionError{Component: component, Condition: "Convergence",
+			Cause: fmt.Errorf("no suffix satisfying the %s specification: %w", what, v)}
 	}
 	return nil
 }
@@ -200,52 +219,23 @@ func (d Detector) checkNonmaskingTolerant(ctx context.Context, span *fault.Span)
 // of D confined to G satisfies Safeness and Stability, G is closed under
 // D's transitions, and Progress holds from every state of G. A computation
 // with a suffix entering G satisfies the detector specification from that
-// point on.
+// point on. G is the largest live subset (explore.Graph.LargestLiveSubset),
+// with target Z ∨ ¬X, of the Safeness states ¬Z ∨ X less the sources of
+// Stability-violating steps.
 func (d Detector) GoodRegion(g *explore.Graph) *explore.Bitset {
 	zSet := g.SetOf(d.Z)
 	xSet := g.SetOf(d.X)
-	// Locally safe states: Safeness holds (¬Z ∨ X).
+	done := xSet.Complement() // Z ∨ ¬X: Progress is discharged
+	done.Union(zSet)
+	pending := done.Complement()
+	// Safeness holds at ¬Z ∨ X; Stability fails at a Z-state with a step
+	// into X ∧ ¬Z.
 	safe := zSet.Clone()
 	safe.Subtract(xSet)
 	safe = safe.Complement()
-	// Remove sources of stability-violating steps, then close.
-	badTarget := xSet.Clone()
-	badTarget.Subtract(zSet) // ¬Z ∧ X
-	stabSrc := zSet.Clone()
-	stabSrc.Intersect(safe)
-	stabSrc.ForEach(func(id int) bool {
-		for _, e := range g.Out(id) {
-			if badTarget.Has(e.To) {
-				safe.Remove(id)
-				break
-			}
-		}
+	eachStep(g, zSet, pending, func(id int, _ explore.Edge) bool {
+		safe.Remove(id)
 		return true
 	})
-	region := g.LargestClosedSubset(safe)
-	// Prune states where Progress fails, iterating to a fixpoint (removing
-	// a state can only shrink the closed region further).
-	for {
-		goal := xSet.Complement()
-		goal.Union(zSet)
-		goal.Intersect(region)
-		violating := -1
-		cand := xSet.Clone()
-		cand.Subtract(zSet)
-		cand.Intersect(region)
-		cand.ForEach(func(id int) bool {
-			single := explore.NewBitset(g.NumNodes())
-			single.Add(id)
-			if v := g.CheckEventually(single, goal); v != nil {
-				violating = id
-				return false
-			}
-			return true
-		})
-		if violating < 0 {
-			return region
-		}
-		region.Remove(violating)
-		region = g.LargestClosedSubset(region)
-	}
+	return g.LargestLiveSubset(safe, done)
 }

@@ -56,31 +56,19 @@ func (v *LivenessViolation) Error() string {
 // FairCycle looks for a weakly fair infinite computation confined to the
 // node set `within`, using only fair-action edges for the recurring part
 // (unfair actions — faults — occur finitely often and cannot sustain a
-// cycle). It returns one SCC admitting such a computation, or nil.
+// cycle). It returns the first SCC of the fair-edge view of `within`, in
+// Tarjan's order, that admits such a computation (see admitsFairRun), or
+// nil.
 //
-// An SCC C admits a fair run iff it has an internal fair edge and, for every
-// fair action a that is enabled at all states of C, some a-transition stays
-// inside C. (If such an a had no internal transition, any run confined to C
-// would keep a continuously enabled yet never execute it; conversely a tour
-// of all states and internal fair edges of C is weakly fair.)
-//
-// Only the components that can carry a cycle are searched, in Tarjan's
-// order: a single node without a fair self-loop has no internal fair edge,
-// so dropping it never changes which component is returned first. One
-// membership set serves every component: each is added, tested and removed
-// again, so the cost is linear in the components' sizes rather than a fresh
-// n-bit set per SCC.
+// Only the components that can carry a cycle are searched: a single node
+// without a fair self-loop has no internal fair edge, so dropping it never
+// changes which component is returned first. One membership set serves
+// every component, so the cost is linear in the components' sizes rather
+// than a fresh n-bit set per SCC.
 func (g *Graph) FairCycle(within *Bitset) []int {
 	member := NewBitset(g.n)
 	for _, comp := range g.fairSCCs(within) {
-		for _, v := range comp {
-			member.Add(v)
-		}
-		admits := g.hasInternalFairEdge(member, comp) && g.sccAdmitsFairRun(member, comp)
-		for _, v := range comp {
-			member.Remove(v)
-		}
-		if admits {
+		if g.admitsFairRun(member, comp) {
 			return comp
 		}
 	}
@@ -98,49 +86,44 @@ func (g *Graph) fairSCCs(within *Bitset) [][]int {
 	return g.fairEdgeView().cyclicSCCs(within)
 }
 
-func (g *Graph) hasInternalFairEdge(member *Bitset, comp []int) bool {
+// admitsFairRun reports whether comp, one of fairSCCs' components, admits a
+// weakly fair run confined to it. comp has an internal fair edge by
+// construction (it is a cyclic SCC of the fair-edge view), so it does iff,
+// for every fair action a that is enabled at all states of comp, some
+// a-transition stays inside comp. (If such an a had no internal transition,
+// any run confined to comp would keep a continuously enabled yet never
+// execute it; conversely a tour of all states and internal fair edges of
+// comp is weakly fair.) member is scratch space, empty on entry and on
+// return.
+func (g *Graph) admitsFairRun(member *Bitset, comp []int) bool {
 	for _, v := range comp {
-		for _, e := range g.Out(v) {
-			if g.fair[e.Action] && member.Has(e.To) {
-				return true
-			}
-		}
+		member.Add(v)
 	}
-	return false
-}
-
-func (g *Graph) sccAdmitsFairRun(member *Bitset, comp []int) bool {
-	for a := 0; a < g.numActs; a++ {
+	admits := true
+actions:
+	for a := 0; a < g.numActs && admits; a++ {
 		if !g.fair[a] {
 			continue
 		}
-		enabledEverywhere := true
-		hasInternal := false
 		for _, v := range comp {
 			if !g.Enabled(v, a) {
-				enabledEverywhere = false
-				break
+				continue actions
 			}
 		}
-		if !enabledEverywhere {
-			continue
-		}
+		admits = false
 		for _, v := range comp {
 			for _, e := range g.Out(v) {
 				if e.Action == a && member.Has(e.To) {
-					hasInternal = true
-					break
+					admits = true
+					continue actions
 				}
 			}
-			if hasInternal {
-				break
-			}
-		}
-		if !hasInternal {
-			return false
 		}
 	}
-	return true
+	for _, v := range comp {
+		member.Remove(v)
+	}
+	return admits
 }
 
 // CheckEventually verifies that every fair maximal computation starting in
@@ -236,4 +219,37 @@ func (g *Graph) LargestClosedSubset(set *Bitset) *Bitset {
 		}
 	}
 	return c
+}
+
+// LargestLiveSubset returns the largest subset L of safe that is closed
+// under every edge and from each state of which every fair maximal
+// computation reaches target (inside L, since L is closed). It is the
+// greatest fixpoint that removing, one at a time, the states CheckEventually
+// fails from would reach, found in one pass with no loop.
+//
+// The stuck states are the deadlocks of safe∖target and the fair SCCs of
+// safe∖target that admit a fair run: what CheckEventually looks for. A fair
+// maximal computation from a closed subset of safe that never enters target
+// stays in safe∖target, so it ends in a deadlock there or settles in such an
+// SCC. Hence no stuck state, and no state with a path to one, is in any
+// closed live subset, and L = LargestClosedSubset(safe∖stuck) contains each
+// of them. L is live itself: a fair SCC of safe∖target that meets the
+// closed L lies wholly inside it, so L∖target has no deadlock and no
+// admitting SCC that safe∖target did not have.
+func (g *Graph) LargestLiveSubset(safe, target *Bitset) *Bitset {
+	rest := safe.Clone()
+	rest.Subtract(target)
+	stuck := rest.Clone()
+	stuck.Intersect(g.dead)
+	member := NewBitset(g.n)
+	for _, comp := range g.fairSCCs(rest) {
+		if g.admitsFairRun(member, comp) {
+			for _, v := range comp {
+				stuck.Add(v)
+			}
+		}
+	}
+	live := safe.Clone()
+	live.Subtract(stuck)
+	return g.LargestClosedSubset(live)
 }
