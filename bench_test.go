@@ -363,7 +363,9 @@ func BenchmarkScanFullSweep(b *testing.B) {
 // BenchmarkFindDeadlockRing7K8 is the large-space workload's largest scan:
 // a deadlock hunt over Dijkstra's ring with 7 machines and 8 counter
 // values. No state of the 8^7 = 2,097,152 is deadlocked, so the hunt
-// sweeps them all and records a parent for each.
+// visits them all. Seeding from true discovers every state, so the hunt
+// enumerates no transition and records no parent, and its frontier holds
+// the seeds as one run.
 func BenchmarkFindDeadlockRing7K8(b *testing.B) {
 	f, err := gcl.ParseAndCompile(difftest.RingSource(7, 8))
 	if err != nil {

@@ -145,7 +145,7 @@ func scanInit(sch *state.Schema, init state.Predicate, lo, hi uint64, row []int3
 		}
 		for i := nv - 1; i >= 0; i-- {
 			row[i]++
-			if int(row[i]) < sch.Var(i).Domain.Size {
+			if int(row[i]) < sch.DomainSize(i) {
 				break
 			}
 			row[i] = 0
@@ -284,9 +284,14 @@ func exploreBFS(ctx context.Context, k *guarded.Kernel, init state.Predicate, ma
 	// without locks: all sends into a round's outboxes happen before any
 	// owner reads them, and the emptied outboxes are handed back to the
 	// senders by the next barrier.
+	//
+	// Every seed is expanded exactly once, by its owner, so each node list
+	// starts with room for its worker's seeds: a build from true never
+	// regrows it.
 	perWorker := make([]expansion, workers)
 	scratches := make([]*guarded.Scratch, workers)
 	for w := range scratches {
+		perWorker[w].nodes = make([]rawNode, 0, frontiers[w].queued())
 		scratches[w] = k.NewScratch()
 	}
 	expand := func(w int) {
@@ -390,8 +395,9 @@ type nodeRef struct {
 // assemble renumbers the discovered states canonically — node ids ascend
 // with the states' mixed-radix indices — decodes the state arena, resolves
 // edge targets by binary search over the sorted index array, and precomputes
-// the per-action enabled bitsets and the deadlock set. The result is
-// byte-for-byte identical for any worker count, budget and schedule.
+// the per-action enabled bitsets (read off the edges as they are written)
+// and the deadlock set. The result is byte-for-byte identical for any
+// worker count, budget and schedule.
 func assemble(k *guarded.Kernel, fair []bool, exps []expansion) *Graph {
 	sch := k.Schema()
 	n, totalE := 0, 0
@@ -454,30 +460,60 @@ func assemble(k *guarded.Kernel, fair []bool, exps []expansion) *Graph {
 		g.outOff[i+1] = g.outOff[i] + uint32(node.n)
 	}
 	g.outEdges = make([]Edge, totalE)
+	g.enabled = make([]*Bitset, g.numActs)
+	for a := range g.enabled {
+		g.enabled[a] = NewBitset(n)
+	}
+	en := newEnabledness(k)
 	for i := range refs {
 		ex := &exps[refs[i].ch]
 		succ := ex.out(&ex.nodes[refs[i].pos])
-		base := g.outOff[i]
+		base := int(g.outOff[i])
 		for j, tr := range succ {
-			g.outEdges[int(base)+j] = Edge{Action: int(tr.Action), To: resolve(tr.To)}
+			g.outEdges[base+j] = Edge{Action: int(tr.Action), To: resolve(tr.To)}
 		}
-	}
-	// Per-action enabledness and the deadlock set, straight off the arena.
-	sc := k.NewScratch()
-	g.enabled = make([]*Bitset, g.numActs)
-	for a := 0; a < g.numActs; a++ {
-		g.enabled[a] = NewBitset(n)
-	}
-	for i := 0; i < n; i++ {
-		row := g.vals[i*nv : (i+1)*nv]
-		for a := 0; a < g.numActs; a++ {
-			if sc.EnabledOnRow(row, a) {
-				g.enabled[a].Add(i)
-			}
-		}
+		en.mark(g.enabled, i, g.vals[i*nv:(i+1)*nv], g.outEdges[base:base+len(succ)])
 	}
 	g.dead = g.computeDead(fair)
 	return g
+}
+
+// enabledness fills per-action enabled bitsets from a node's out-edges. An
+// action with a fixed fan-out (guarded.Kernel.Fanout > 0: every native
+// action and every deterministic closure) has transitions exactly where
+// its guard holds, so its bit is read off the edges, once per run of
+// same-action edges. Only a closure with a set of next states can be
+// enabled and emit nothing, so its guard is evaluated at every node.
+type enabledness struct {
+	sc        *guarded.Scratch
+	setValued []int // actions whose guard is evaluated
+}
+
+func newEnabledness(k *guarded.Kernel) *enabledness {
+	en := &enabledness{sc: k.NewScratch()}
+	for a := 0; a < k.NumActions(); a++ {
+		if k.Fanout(a) <= 0 {
+			en.setValued = append(en.setValued, a)
+		}
+	}
+	return en
+}
+
+// mark sets node id's bits: from out, its out-edges in action order, and
+// by evaluating the set-valued closures' guards on row, its state.
+func (en *enabledness) mark(enabled []*Bitset, id int, row []int32, out []Edge) {
+	prev := -1
+	for _, e := range out {
+		if e.Action != prev {
+			prev = e.Action
+			enabled[prev].Add(id)
+		}
+	}
+	for _, a := range en.setValued {
+		if en.sc.EnabledOnRow(row, a) {
+			enabled[a].Add(id)
+		}
+	}
 }
 
 // computeDead derives the deadlock set from the per-action enabled bitsets

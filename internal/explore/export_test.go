@@ -20,3 +20,7 @@ func SetDenseVisitedLimit(n uint64) uint64 {
 	denseVisitedLimit = n
 	return old
 }
+
+// writeBlocks returns the blocks of the frontier's write level, for tests
+// that pin the run encoding.
+func (f *ramFrontier) writeBlocks() [][]uint64 { return f.write }

@@ -468,9 +468,10 @@ func repair(old *Graph, k *guarded.Kernel, plan *RepairPlan, init state.Predicat
 // surviving old nodes and surviving discovered states merge into a fresh
 // canonical (index-ascending) numbering, old arena rows are copied, new
 // states are decoded once, edges and the old nodes' enabledness are
-// relabeled through the final-id map, and only the discovered states'
-// guards are evaluated — exactly what a from-scratch assemble would
-// produce. alive == nil means every candidate survived.
+// relabeled through the final-id map, and the discovered states'
+// enabledness is read off their edges by assemble's rule — exactly what a
+// from-scratch assemble would produce. alive == nil means every candidate
+// survived.
 func repairRenumber(old *Graph, k *guarded.Kernel, fair []bool, c *candidates, edgesOf func(int) []Edge, enabled []*Bitset, alive *Bitset, n int) *Graph {
 	sch := k.Schema()
 	nv, oldN, newNA := old.nv, old.n, k.NumActions()
@@ -543,16 +544,12 @@ func repairRenumber(old *Graph, k *guarded.Kernel, fair []bool, c *candidates, e
 		})
 		g.enabled[a] = b
 	}
-	// Discovered states have no recorded enabledness: evaluate their guards.
-	sc := k.NewScratch()
+	// Discovered states have no recorded enabledness: phase 2 expanded them
+	// with the full kernel, so it is read off their edges as assemble does.
+	rule := newEnabledness(k)
 	for _, cid := range fresh {
 		f := int(final[cid])
-		row := g.vals[f*nv : (f+1)*nv]
-		for a := 0; a < newNA; a++ {
-			if sc.EnabledOnRow(row, a) {
-				g.enabled[a].Add(f)
-			}
-		}
+		rule.mark(g.enabled, f, g.vals[f*nv:(f+1)*nv], edgesOf(cid))
 	}
 	g.dead = g.computeDead(fair)
 	return g

@@ -151,29 +151,105 @@ func (s *bfsStore) newFrontier(bufBytes int) frontier {
 	return &ramFrontier{}
 }
 
-// ramFrontier is the in-RAM frontier: two slices of indices.
+// frontierBlock is the number of entries in one block of a ramFrontier
+// level (64 KiB).
+const frontierBlock = 1 << 13
+
+// runBit marks the first entry of a run: the pair (first|runBit, length)
+// stands for first, first+1, …, first+length-1. State indices stay below
+// 2^62 (the schema's indexing bound), so the bit is free.
+const runBit = uint64(1) << 63
+
+// ramFrontier is the in-RAM frontier. Each level is a list of fixed-size
+// blocks, recycled between levels, so a level is never regrown or copied.
+// An entry is one index, or a run of consecutive indices stored as a pair
+// in two slots of one block: a push of the previous index + 1 extends the
+// run, so seeding from true queues the whole schema as one pair.
 type ramFrontier struct {
-	read, write []uint64
-	head        int // next index of read to pop
+	read, write [][]uint64 // each level's blocks in FIFO order
+	blk, pos    int        // read cursor: block of read, entry in it
+	off         uint64     // indices already popped from the run at the cursor
+	free        [][]uint64 // emptied blocks
+	n           int64      // indices queued
 }
 
+//dc:zeroalloc
 func (f *ramFrontier) push(idx uint64) error {
-	f.write = append(f.write, idx)
+	f.n++
+	if last := len(f.write) - 1; last >= 0 {
+		b := f.write[last]
+		k := len(b)
+		switch {
+		case k >= 2 && b[k-2]&runBit != 0:
+			// The last entry is a run: idx may continue it.
+			if b[k-2]&^runBit+b[k-1] == idx {
+				b[k-1]++
+				return nil
+			}
+		case b[k-1]+1 == idx && k < frontierBlock:
+			// The last entry is a single index: idx makes it a run of
+			// two, whose length takes the next slot.
+			b[k-1] |= runBit
+			idx = 2
+		}
+		if k < frontierBlock {
+			b = b[:k+1]
+			b[k] = idx
+			f.write[last] = b
+			return nil
+		}
+	}
+	f.newBlock(idx)
 	return nil
 }
 
+//dc:zeroalloc
 func (f *ramFrontier) pop() (uint64, bool, error) {
-	if f.head == len(f.read) {
+	if f.blk == len(f.read) {
 		if len(f.write) == 0 {
 			return 0, false, nil
 		}
-		f.read, f.write, f.head = f.write, f.read[:0], 0
+		f.nextLevel()
 	}
-	f.head++
-	return f.read[f.head-1], true, nil
+	f.n--
+	b := f.read[f.blk]
+	idx := b[f.pos]
+	if idx&runBit != 0 {
+		idx = idx&^runBit + f.off
+		if f.off++; f.off < b[f.pos+1] {
+			return idx, true, nil
+		}
+		f.pos, f.off = f.pos+1, 0 // past the run's length slot
+	}
+	if f.pos++; f.pos == len(b) {
+		f.blk, f.pos = f.blk+1, 0
+	}
+	return idx, true, nil
 }
 
-func (f *ramFrontier) queued() int64 { return int64(len(f.read) - f.head + len(f.write)) }
+// newBlock appends a block holding the single entry idx to the write
+// level, reusing an emptied block when there is one.
+func (f *ramFrontier) newBlock(idx uint64) {
+	var b []uint64
+	if n := len(f.free); n > 0 {
+		b, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		b = make([]uint64, 0, frontierBlock)
+	}
+	f.write = append(f.write, append(b, idx))
+}
+
+// nextLevel recycles the drained read level's blocks and makes the write
+// level the one being read.
+func (f *ramFrontier) nextLevel() {
+	for _, b := range f.read {
+		f.free = append(f.free, b[:0])
+	}
+	f.read, f.write = f.write, f.read[:0]
+	f.blk, f.pos, f.off = 0, 0, 0
+}
+
+func (f *ramFrontier) queued() int64 { return f.n }
 
 func (f *ramFrontier) close() {}
 

@@ -78,6 +78,10 @@ func (s *Schema) NumVars() int { return len(s.vars) }
 // Var returns the i-th variable declaration.
 func (s *Schema) Var(i int) Var { return s.vars[i] }
 
+// DomainSize returns the number of values of the i-th variable: Var(i)'s
+// domain size without copying the declaration, for per-state loops.
+func (s *Schema) DomainSize(i int) int { return s.vars[i].Domain.Size }
+
 // VarNames returns the declared variable names in schema order.
 func (s *Schema) VarNames() []string {
 	names := make([]string, len(s.vars))
